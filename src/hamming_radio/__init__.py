@@ -24,6 +24,7 @@ from .bounds import (
 from .errors import (
     BudgetExceededError,
     DocumentError,
+    InvalidWitnessError,
     MembershipError,
     NotAtBoundaryError,
     RadioGraphError,

@@ -169,8 +169,10 @@ def _candidate_rows(sizes, prev_rows, budgets):
     """Yield canonical next rows respecting per-previous-row shared budgets.
 
     Canonical form: a column may repeat any value already used in it, or
-    introduce the smallest unused value.  Column-by-column DFS, pruning as soon
-    as a budget is exceeded.
+    introduce the smallest unused value.  A column tied to its left neighbour
+    (same size, equal values in every previous row) never takes a value below
+    the neighbour's.  Column-by-column DFS, pruning as soon as a budget is
+    exceeded.
     """
     t = len(sizes)
     allowed: list[list[int]] = []
@@ -178,6 +180,12 @@ def _candidate_rows(sizes, prev_rows, budgets):
         used = sorted({row[col] for row in prev_rows})
         unused = [v for v in range(1, sizes[col] + 1) if v not in used]
         allowed.append(used + unused[:1])
+    tied = [
+        col > 0
+        and sizes[col] == sizes[col - 1]
+        and all(row[col] == row[col - 1] for row in prev_rows)
+        for col in range(t)
+    ]
 
     row: list[int] = []
     counts = [0] * len(prev_rows)
@@ -187,6 +195,8 @@ def _candidate_rows(sizes, prev_rows, budgets):
             yield tuple(row)
             return
         for value in allowed[col]:
+            if tied[col] and value < row[col - 1]:
+                continue
             bumped = []
             ok = True
             for p, prev in enumerate(prev_rows):
@@ -209,11 +219,26 @@ def _candidate_rows(sizes, prev_rows, budgets):
 def segment_extension_search(
     spec: GraphSpec, depth: int, max_nodes: int = 5_000_000
 ) -> SegmentSearchResult:
-    """Search for depth+1 locally valid consecutive rows, up to column symmetry.
+    """Search for depth+1 locally valid consecutive rows, up to value and
+    column symmetry.
 
-    Rows 1 and 2 are pinned to the all-1 and all-2 vertices (always possible by
-    per-column relabeling) and later rows are canonicalized by first-appearance
-    values, so an empty search is a genuine impossibility proof.
+    Locally valid means rows at gap g < diameter share at most g - 1
+    coordinates.  Rows 1 and 2 are pinned to the all-1 and all-2 vertices
+    (always possible by per-column relabeling) and later rows are canonicalized
+    by first-appearance values.  Columns are reduced by a tie rule: column c is
+    tied to column c-1 when both have the same size and hold equal values in
+    every row placed so far, and a tied column never takes a value below the
+    one just placed in column c-1.
+
+    The tie rule loses no segment length.  Take any locally valid segment with
+    canonical values and sort its columns lexicographically within each
+    factor.  Permuting columns of equal size changes no shared-coordinate
+    count and keeps each column's values canonical, so the result is still
+    valid and canonical, and it satisfies the tie rule at every row.  Tied
+    columns stay contiguous from the pinned rows on, so comparing with column
+    c-1 is enough.  Hence the reduced search reaches exactly the segment
+    lengths the unreduced one does: an empty search is a genuine impossibility
+    proof, and dead_depth is the same as without the reduction.
     """
     if depth < 2:
         raise SpecError(f"segment depth must be at least 2, got {depth}")

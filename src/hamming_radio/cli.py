@@ -217,17 +217,19 @@ def search(
     except RadioGraphError as exc:
         _fail(2, str(exc))
 
-    if reduced_k34:
-        if spec_string and parse_spec_string(spec_string).factors != parse_spec_string("3^4").factors:
-            _fail(2, "--reduced-k34 only searches 3^4")
-        outcome = search_k34_reduced(config)
-    else:
-        if not spec_string:
-            _fail(2, "a spec argument is required without --reduced-k34")
+    spec = None
+    if spec_string:
         try:
             spec = parse_spec_string(spec_string)
         except DocumentError as exc:
             _fail(2, str(exc))
+    if reduced_k34:
+        if spec is not None and spec.factors != parse_spec_string("3^4").factors:
+            _fail(2, "--reduced-k34 only searches 3^4")
+        outcome = search_k34_reduced(config)
+    else:
+        if spec is None:
+            _fail(2, "a spec argument is required without --reduced-k34")
         try:
             outcome = search_ordering(spec, config)
         except TooLargeError as exc:

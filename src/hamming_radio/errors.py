@@ -39,3 +39,7 @@ class BudgetExceededError(RadioGraphError):
 
 class DocumentError(RadioGraphError, ValueError):
     """An ordering or instruction file could not be parsed."""
+
+
+class InvalidWitnessError(RadioGraphError):
+    """A search produced an ordering that fails the window check (a defect in the search)."""

@@ -9,12 +9,13 @@ instruction matrix is determined by the column receiving its single f_2.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import SpecError, TooLargeError
+from .errors import InvalidWitnessError, SpecError, TooLargeError
 from .graphs import GraphSpec, Vertex, enumerate_vertices, make_graph_spec, shared_coordinates
 from .instructions import GeneratorKind, builtin_generator
 from .perms import act
@@ -40,8 +41,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.node_budget < 1:
             raise SpecError("node_budget must be positive")
-        if self.time_budget <= 0:
-            raise SpecError("time_budget must be positive")
+        if not (math.isfinite(self.time_budget) and self.time_budget > 0):
+            raise SpecError(f"time_budget must be positive and finite, got {self.time_budget}")
         randomized = CandidateOrder.RANDOMIZED in (self.column_order, self.value_order)
         if randomized and self.seed is None:
             raise SpecError("randomized candidate order needs a seed")
@@ -62,8 +63,8 @@ class SearchOutcome:
 
 
 def _finish(status: SearchStatus, ordering: Ordering | None, nodes: int, depth: int) -> SearchOutcome:
-    if ordering is not None:
-        assert is_valid_ordering(ordering)
+    if ordering is not None and not is_valid_ordering(ordering):
+        raise InvalidWitnessError(f"search produced an invalid ordering of {ordering.spec}")
     return SearchOutcome(status, ordering, nodes, depth)
 
 

@@ -153,3 +153,57 @@ def random_value_column(n, length, rng):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def oracle_segment_search(sizes, depth):
+    """Canonical segment search without column reduction, from the definition.
+
+    Rows 1 and 2 are the all-1 and all-2 vertices.  Each later row gives every
+    column a value already used in that column or the smallest unused one, and
+    shares at most g - 1 coordinates with the row g back, for every gap g below
+    the diameter.  Candidates are tried in lexicographic order and each
+    accepted row counts as one node.  Returns (extensible, witness, dead_depth,
+    nodes) with the meanings of segment_extension_search.
+    """
+    t = len(sizes)
+    rows = [(1,) * t, (2,) * t]
+    nodes = 0
+    deepest = len(rows)
+
+    def next_rows():
+        options = []
+        for col in range(t):
+            used = sorted({r[col] for r in rows})
+            fresh = [v for v in range(1, sizes[col] + 1) if v not in used]
+            options.append(used + fresh[:1])
+        limits = [(rows[-g], g - 1) for g in range(1, min(len(rows), t - 1) + 1)]
+
+        def build(prefix, shared):
+            # shared[i] counts the coordinates prefix shares with limits[i]'s row
+            k = len(prefix)
+            if k == t:
+                yield prefix
+                return
+            for value in options[k]:
+                grown = [s + (prev[k] == value) for s, (prev, _) in zip(shared, limits)]
+                if all(s <= limit for s, (_, limit) in zip(grown, limits)):
+                    yield from build(prefix + (value,), grown)
+
+        return build((), [0] * len(limits))
+
+    def extend():
+        nonlocal nodes, deepest
+        if len(rows) == depth + 1:
+            return True
+        for cand in next_rows():
+            nodes += 1
+            rows.append(cand)
+            deepest = max(deepest, len(rows))
+            if extend():
+                return True
+            rows.pop()
+        return False
+
+    if extend():
+        return True, tuple(rows), None, nodes
+    return False, None, deepest, nodes

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hamming_radio.bounds import (
@@ -8,13 +10,20 @@ from hamming_radio.bounds import (
     distinct_column_count,
     distinct_column_profile,
     factor_threshold,
+    _candidate_rows,
     segment_extension_search,
 )
 from hamming_radio.errors import NotAtBoundaryError, ShapeError, SpecError, TooLargeError
 from hamming_radio.graphs import make_graph_spec, shared_coordinates
 from hamming_radio.verify import Ordering
 
-from .oracles import oracle_distinct_columns, random_weak_rows, seeded
+from .oracles import (
+    oracle_distinct_columns,
+    oracle_segment_search,
+    oracle_shared,
+    random_weak_rows,
+    seeded,
+)
 
 
 def test_factor_threshold_frozen_values():
@@ -167,3 +176,54 @@ def test_segment_search_extensible_proves_nothing():
     # so only the dead outcome carries an impossibility proof
     result = segment_extension_search(make_graph_spec([(2, 2)]), depth=6)
     assert result.extensible
+
+
+@pytest.mark.parametrize(
+    "sizes,prev_rows,expected",
+    [
+        # equal size and history: tied, so column 2 never drops below column 1
+        ((3, 3), [(1, 1), (2, 2)], [(1, 1), (1, 3), (3, 3)]),
+        # equal history but different sizes: not interchangeable, not tied
+        ((3, 4), [(1, 1), (2, 2)], [(1, 1), (1, 3), (3, 1), (3, 3)]),
+        # equal size but different history: not tied
+        ((3, 3), [(1, 1), (2, 2), (1, 3)], [(2, 1), (2, 2), (3, 1), (3, 2)]),
+    ],
+)
+def test_candidate_rows_tie_rule(sizes, prev_rows, expected):
+    budgets = [None] * (len(prev_rows) - 1) + [0]
+    assert list(_candidate_rows(sizes, prev_rows, budgets)) == expected
+
+
+@pytest.mark.parametrize("factors,depth,nodes", [([(4, 11)], 4, 17), ([(3, 5)], 3, 2)])
+def test_segment_search_node_counts(factors, depth, nodes):
+    # exact counts: a different count is a change in behaviour that needs explaining
+    result = segment_extension_search(make_graph_spec(factors), depth)
+    assert not result.extensible
+    assert result.dead_depth == depth
+    assert result.nodes_explored == nodes
+
+
+def test_segment_search_matches_unreduced_oracle():
+    # every 2^a x 3^b x 4^c with diameter 2..9, at depths 2..6: 1,080 cases
+    for a, b, c in itertools.product(range(10), repeat=3):
+        if not 2 <= a + b + c <= 9:
+            continue
+        spec = make_graph_spec([(s, k) for s, k in ((2, a), (3, b), (4, c)) if k])
+        t = spec.diameter
+        for depth in range(2, 7):
+            extensible, _, dead_depth, oracle_nodes = oracle_segment_search(
+                spec.column_sizes(), depth
+            )
+            result = segment_extension_search(spec, depth)
+            case = (spec, depth)
+            assert result.extensible == extensible, case
+            assert result.dead_depth == dead_depth, case
+            assert result.nodes_explored <= oracle_nodes, case
+            if not extensible:
+                continue
+            witness = result.witness
+            assert len(witness) == depth + 1, case
+            assert witness[0] == (1,) * t and witness[1] == (2,) * t, case
+            for i, j in itertools.combinations(range(len(witness)), 2):
+                if j - i < t:
+                    assert oracle_shared(witness[i], witness[j]) <= j - i - 1, case

@@ -123,6 +123,21 @@ def test_search_input_errors(runner):
     assert invoke(runner, "search", "bogus").exit_code == 2
 
 
+def test_search_bad_spec_with_reduced_k34(runner):
+    # exit 1 would read as "no labeling exists"
+    result = invoke(runner, "search", "foo", "--reduced-k34")
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_search_rejects_non_finite_time_budget(runner, budget):
+    result = invoke(runner, "search", "3^2", "--time-budget", budget)
+    assert result.exit_code == 2
+    assert "time_budget" in result.stderr
+
+
 def test_search_randomized_with_seed(runner):
     result = invoke(runner, "search", "3^2", "--randomize", "--seed", "5")
     assert result.exit_code == 0

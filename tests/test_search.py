@@ -1,6 +1,6 @@
 import pytest
 
-from hamming_radio.errors import SpecError, TooLargeError
+from hamming_radio.errors import InvalidWitnessError, SpecError, TooLargeError
 from hamming_radio.graphs import make_graph_spec
 from hamming_radio.search import (
     CandidateOrder,
@@ -19,8 +19,9 @@ from .oracles import seeded
 def test_config_validation():
     with pytest.raises(SpecError):
         SearchConfig(node_budget=0)
-    with pytest.raises(SpecError):
-        SearchConfig(time_budget=0)
+    for budget in (0, float("nan"), float("inf")):
+        with pytest.raises(SpecError):
+            SearchConfig(time_budget=budget)
     with pytest.raises(SpecError):
         SearchConfig(value_order=CandidateOrder.RANDOMIZED)
     SearchConfig(value_order=CandidateOrder.RANDOMIZED, seed=1)
@@ -33,6 +34,13 @@ def test_search_finds_k3_2():
     assert outcome.max_depth_reached == 9
     assert outcome.ordering.rows[0] == (1, 1)
     assert outcome.ordering.rows[1] == (2, 2)
+
+
+def test_found_ordering_is_checked_without_assert(monkeypatch):
+    # an explicit check, so it survives python -O
+    monkeypatch.setattr("hamming_radio.search.is_valid_ordering", lambda ordering: False)
+    with pytest.raises(InvalidWitnessError):
+        search_ordering(make_graph_spec([(3, 2)]))
 
 
 def test_search_exhausts_k2_2():
