@@ -63,7 +63,6 @@ from .instructions import (
 from .perms import Permutation, act, compose, from_cycles, identity
 from .search import (
     BruteForceResult,
-    CandidateOrder,
     SearchConfig,
     SearchOutcome,
     SearchStatus,

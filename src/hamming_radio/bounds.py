@@ -11,11 +11,13 @@ the argument for specific graphs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NotAtBoundaryError, ShapeError, SpecError, TooLargeError
 from .graphs import GraphSpec, Vertex, shared_coordinates
+from .search import SearchStatus, _depth_first
 from .verify import Ordering
 
 
@@ -127,6 +129,8 @@ def boundary_structure_check(ordering: Ordering) -> list[BoundaryViolation]:
     Applies when some factor of size n has cumulative width exactly
     n(n^2 - 1)/6; then every pair of rows at gap j <= n must share exactly
     j - 1 coordinates.  Raises NotAtBoundaryError when no factor qualifies.
+    This is an equality rule over gaps up to n, not the at-most rule of
+    verify.check_ordering, so it keeps its own window loop.
     """
     spec = ordering.spec
     boundary_sizes = [
@@ -245,8 +249,6 @@ def segment_extension_search(
     t = spec.diameter
     sizes = spec.column_sizes()
     rows: list[Vertex] = [spec.constant_vertex(1), spec.constant_vertex(2)]
-    nodes = 0
-    deepest = len(rows)
 
     def budgets_for(next_index: int) -> list[int | None]:
         # prev_rows[p] is row p+1; the new row sits at next_index (1-based).
@@ -256,26 +258,15 @@ def segment_extension_search(
             out.append(gap - 1 if gap < t else None)
         return out
 
-    def extend() -> bool:
-        nonlocal nodes, deepest
-        if len(rows) == depth + 1:
-            return True
-        budgets = budgets_for(len(rows) + 1)
-        for cand in _candidate_rows(sizes, rows, budgets):
-            nodes += 1
-            if nodes > max_nodes:
-                raise TooLargeError(
-                    f"segment search exceeded {max_nodes} nodes for {spec}"
-                )
-            rows.append(cand)
-            deepest = max(deepest, len(rows))
-            if extend():
-                return True
-            rows.pop()
-        return False
+    def children():
+        return _candidate_rows(sizes, rows, budgets_for(len(rows) + 1))
 
-    found = extend()
-    if found:
+    status, nodes, deepest = _depth_first(
+        rows, depth + 1, children, rows.append, rows.pop, max_nodes, math.inf
+    )
+    if status is SearchStatus.BUDGET_EXCEEDED:
+        raise TooLargeError(f"segment search exceeded {max_nodes} nodes for {spec}")
+    if status is SearchStatus.FOUND:
         return SegmentSearchResult(
             extensible=True, witness=tuple(rows), dead_depth=None, nodes_explored=nodes
         )

@@ -2,14 +2,12 @@
 
 Exit codes: 0 success / clean verification, 1 negative result (violations
 found, graph ruled out, search exhausted), 2 input or parse error, 3 budget
-exceeded.  Searches run on a single worker for reproducibility; the
-HAMMING_RADIO_THREADS variable is honored as an upper bound on workers.
+exceeded.  Searches run on a single worker for reproducibility.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
@@ -30,6 +28,7 @@ from .errors import (
     NotAtBoundaryError,
     RadioGraphError,
     RepetitionError,
+    SpecError,
     TooLargeError,
 )
 from .instructions import (
@@ -40,7 +39,6 @@ from .instructions import (
     subscript_string,
 )
 from .search import (
-    CandidateOrder,
     SearchConfig,
     SearchStatus,
     search_k34_reduced,
@@ -51,19 +49,6 @@ from .search import (
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-def worker_cap() -> int:
-    """Parallelism bound from HAMMING_RADIO_THREADS (searches currently use 1)."""
-    raw = os.environ.get("HAMMING_RADIO_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        click.echo(f"warning: ignoring HAMMING_RADIO_THREADS={raw!r}", err=True)
-        return os.cpu_count() or 1
-    return max(1, cap)
 
 
 def _violation_entry(v) -> dict:
@@ -208,8 +193,7 @@ def search(
     if seed is not None:
         kwargs["seed"] = seed
     if randomize:
-        kwargs["value_order"] = CandidateOrder.RANDOMIZED
-        kwargs["column_order"] = CandidateOrder.RANDOMIZED
+        kwargs["randomize"] = True
     if no_symmetry:
         kwargs["symmetry_fixing"] = False
     try:
@@ -226,7 +210,10 @@ def search(
     if reduced_k34:
         if spec is not None and spec.factors != parse_spec_string("3^4").factors:
             _fail(2, "--reduced-k34 only searches 3^4")
-        outcome = search_k34_reduced(config)
+        try:
+            outcome = search_k34_reduced(config)
+        except SpecError as exc:
+            _fail(2, str(exc))
     else:
         if spec is None:
             _fail(2, "a spec argument is required without --reduced-k34")

@@ -404,8 +404,10 @@ def check_order_generator(og: OrderGenerator) -> list:
     For each row i and gap s below the diameter, counts the columns whose
     trailing run of s instructions fixes 1; each such column is a shared
     coordinate between rows i-s and i, so counts of s or more are violations.
-    Repeated rows of the decoded ordering are reported as well.  The result
-    matches check_ordering on the decoded ordering exactly.
+    Repeated rows are found on the decoded ordering, which is materialized
+    first.  The result matches check_ordering on the decoded ordering exactly;
+    the window counts are kept apart from check_ordering on purpose, as an
+    independent cross-check of it.
     """
     ordering = materialize(og)
     t = og.spec.diameter

@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any
 
 from .errors import InvalidWitnessError, SpecError, TooLargeError
 from .graphs import GraphSpec, Vertex, enumerate_vertices, make_graph_spec, shared_coordinates
@@ -24,27 +26,20 @@ from .verify import Ordering, is_valid_ordering
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
 
-class CandidateOrder(Enum):
-    LEXICOGRAPHIC = "lexicographic"
-    RANDOMIZED = "randomized"
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     node_budget: int = 50_000_000
     time_budget: float = 60.0
     seed: int | None = None
     symmetry_fixing: bool = True
-    column_order: CandidateOrder = CandidateOrder.LEXICOGRAPHIC
-    value_order: CandidateOrder = CandidateOrder.LEXICOGRAPHIC
+    randomize: bool = False
 
     def __post_init__(self) -> None:
         if self.node_budget < 1:
             raise SpecError("node_budget must be positive")
         if not (math.isfinite(self.time_budget) and self.time_budget > 0):
             raise SpecError(f"time_budget must be positive and finite, got {self.time_budget}")
-        randomized = CandidateOrder.RANDOMIZED in (self.column_order, self.value_order)
-        if randomized and self.seed is None:
+        if self.randomize and self.seed is None:
             raise SpecError("randomized candidate order needs a seed")
 
 
@@ -68,6 +63,48 @@ def _finish(status: SearchStatus, ordering: Ordering | None, nodes: int, depth: 
     return SearchOutcome(status, ordering, nodes, depth)
 
 
+def _depth_first(
+    rows: list,
+    target: int,
+    children: Callable[[], Iterable],
+    push: Callable[[Any], object],
+    pop: Callable[[], object],
+    node_budget: int,
+    deadline: float,
+) -> tuple[SearchStatus, int, int]:
+    """The depth-first loop behind every search in the package.
+
+    children() gives the candidates for the row after the current `rows`,
+    push(child) places one and pop() takes the last placed row back off; no
+    child may be None, which marks an exhausted level.  Each child taken
+    counts as a node.  Stops with FOUND once `rows` holds target rows, with
+    BUDGET_EXCEEDED on the first node past node_budget or, checked every 1024
+    nodes, past the time.monotonic() deadline, and otherwise with
+    EXHAUSTED_NO_SOLUTION.  Returns the status, the node count and the deepest
+    row count reached.
+    """
+    nodes = 0
+    max_depth = len(rows)
+    stack = [iter(children())]
+    while stack:
+        if len(rows) == target:
+            return SearchStatus.FOUND, nodes, max_depth
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            if stack:  # the root level placed no row of its own
+                pop()
+            continue
+        nodes += 1
+        if nodes > node_budget or (nodes % 1024 == 0 and time.monotonic() > deadline):
+            return SearchStatus.BUDGET_EXCEEDED, nodes, max_depth
+        push(child)
+        if len(rows) > max_depth:
+            max_depth = len(rows)
+        stack.append(iter(children()))
+    return SearchStatus.EXHAUSTED_NO_SOLUTION, nodes, max_depth
+
+
 def search_ordering(
     spec: GraphSpec,
     config: SearchConfig | None = None,
@@ -87,23 +124,16 @@ def search_ordering(
     if n_total > max_vertices:
         raise TooLargeError(f"{n_total} vertices exceed the enumeration cap {max_vertices}")
     candidates = list(enumerate_vertices(spec))
-    if config.value_order is CandidateOrder.RANDOMIZED:
+    if config.randomize:
         random.Random(config.seed).shuffle(candidates)
     t = spec.diameter
 
     rows: list[Vertex] = []
     used: set[Vertex] = set()
-    if config.symmetry_fixing and n_total >= 2:
-        for v in (spec.constant_vertex(1), spec.constant_vertex(2)):
-            rows.append(v)
-            used.add(v)
-
-    base_depth = len(rows)
-    deadline = time.monotonic() + config.time_budget
-    nodes = 0
-    max_depth = base_depth
 
     def admissible(v: Vertex) -> bool:
+        """check_ordering's window rule for v against the rows placed so far;
+        this hot incremental form keeps its own loop."""
         if v in used:
             return False
         for k in range(1, min(t - 1, len(rows)) + 1):
@@ -111,34 +141,24 @@ def search_ordering(
                 return False
         return True
 
-    # iterative DFS; each stack frame is an index into `candidates`
-    stack: list[int] = [0]
-    while stack:
-        if len(rows) == n_total:
-            return _finish(SearchStatus.FOUND, Ordering(spec, tuple(rows)), nodes, n_total)
-        idx = stack[-1]
-        placed = False
-        while idx < len(candidates):
-            v = candidates[idx]
-            idx += 1
-            if admissible(v):
-                nodes += 1
-                if nodes > config.node_budget or (
-                    nodes % 1024 == 0 and time.monotonic() > deadline
-                ):
-                    return _finish(SearchStatus.BUDGET_EXCEEDED, None, nodes, max_depth)
-                stack[-1] = idx
-                rows.append(v)
-                used.add(v)
-                max_depth = max(max_depth, len(rows))
-                stack.append(0)
-                placed = True
-                break
-        if not placed:
-            stack.pop()
-            if len(rows) > base_depth:
-                used.discard(rows.pop())
-    return _finish(SearchStatus.EXHAUSTED_NO_SOLUTION, None, nodes, max_depth)
+    def push(v: Vertex) -> None:
+        rows.append(v)
+        used.add(v)
+
+    def pop() -> None:
+        used.discard(rows.pop())
+
+    if config.symmetry_fixing and n_total >= 2:
+        push(spec.constant_vertex(1))
+        push(spec.constant_vertex(2))
+
+    deadline = time.monotonic() + config.time_budget
+    # filter is lazy, so each candidate is tested against the rows of its own level
+    status, nodes, max_depth = _depth_first(
+        rows, n_total, lambda: filter(admissible, candidates), push, pop, config.node_budget, deadline
+    )
+    ordering = Ordering(spec, tuple(rows)) if status is SearchStatus.FOUND else None
+    return _finish(status, ordering, nodes, max_depth)
 
 
 @dataclass(frozen=True)
@@ -211,23 +231,23 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
     wherever the clock does.
     """
     config = config or SearchConfig()
+    if not config.symmetry_fixing:
+        raise SpecError(
+            "the reduced K_3^4 search always pins rows 1-2; symmetry_fixing=False is unsupported"
+        )
     spec = make_graph_spec([(3, 4)])
     vertices, index, table = _k34_successor_table()
     n_total = spec.num_vertices
 
     rng = random.Random(config.seed)
-    randomized = config.column_order is CandidateOrder.RANDOMIZED
 
     first = index[spec.constant_vertex(1)]
     second = index[spec.constant_vertex(2)]
     rows: list[int] = [first, second]
     used = (1 << first) | (1 << second)
+    prev_col = -1  # column of the last row's f_2; -1 for the all-f_2 row 2
 
-    deadline = time.monotonic() + config.time_budget
-    nodes = 0
-    max_depth = 2
-
-    def column_choices(prev_col: int) -> list[tuple[int, int]]:
+    def column_choices() -> list[tuple[int, int]]:
         entry = table[rows[-2]][rows[-1]]
         tail = rows[-1]
         interior = len(rows) < n_total - 1
@@ -248,31 +268,25 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
                 if blocked:
                     continue  # placing w would strand the walk one row later
             out.append((col, w))
-        if randomized:
+        if config.randomize:
             rng.shuffle(out)
-        out.reverse()  # consumed by pop() from the end
         return out
 
-    stack: list[list[tuple[int, int]]] = [column_choices(-1)]
-    while stack:
-        if len(rows) == n_total:
-            ordering = Ordering(spec, tuple(vertices[i] for i in rows))
-            return _finish(SearchStatus.FOUND, ordering, nodes, n_total)
-        options = stack[-1]
-        if options:
-            col, w = options.pop()
-            nodes += 1
-            if nodes > config.node_budget or (
-                nodes % 1024 == 0 and time.monotonic() > deadline
-            ):
-                return _finish(SearchStatus.BUDGET_EXCEEDED, None, nodes, max_depth)
-            rows.append(w)
-            used |= 1 << w
-            if len(rows) > max_depth:
-                max_depth = len(rows)
-            stack.append(column_choices(col))
-        else:
-            stack.pop()
-            if len(rows) > 2:
-                used &= ~(1 << rows.pop())
-    return _finish(SearchStatus.EXHAUSTED_NO_SOLUTION, None, nodes, max_depth)
+    def push(choice: tuple[int, int]) -> None:
+        nonlocal used, prev_col
+        prev_col, w = choice
+        rows.append(w)
+        used |= 1 << w
+
+    def pop() -> None:
+        nonlocal used
+        used &= ~(1 << rows.pop())
+
+    deadline = time.monotonic() + config.time_budget
+    status, nodes, max_depth = _depth_first(
+        rows, n_total, column_choices, push, pop, config.node_budget, deadline
+    )
+    ordering = None
+    if status is SearchStatus.FOUND:
+        ordering = Ordering(spec, tuple(vertices[i] for i in rows))
+    return _finish(status, ordering, nodes, max_depth)

@@ -125,16 +125,8 @@ def check_ordering(ordering: Ordering) -> list:
 
 
 def is_valid_ordering(ordering: Ordering) -> bool:
-    """Fast-fail version of check_ordering for inner search loops."""
-    t = ordering.spec.diameter
-    rows = ordering.rows
-    if len(set(rows)) != len(rows):
-        return False
-    for i in range(2, len(rows) + 1):
-        for k in range(1, min(t - 1, i - 1) + 1):
-            if shared_coordinates(rows[i - 1], rows[i - k - 1]) >= k:
-                return False
-    return True
+    """True iff check_ordering finds no violation."""
+    return not check_ordering(ordering)
 
 
 def _minimal_label(lower: int, intervals: list[tuple[int, int]]) -> int:

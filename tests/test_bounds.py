@@ -194,12 +194,15 @@ def test_candidate_rows_tie_rule(sizes, prev_rows, expected):
     assert list(_candidate_rows(sizes, prev_rows, budgets)) == expected
 
 
-@pytest.mark.parametrize("factors,depth,nodes", [([(4, 11)], 4, 17), ([(3, 5)], 3, 2)])
-def test_segment_search_node_counts(factors, depth, nodes):
+@pytest.mark.parametrize(
+    "factors,depth,nodes,extensible",
+    [([(4, 11)], 4, 17, False), ([(3, 5)], 3, 2, False), ([(4, 10)], 15, 17, True)],
+)
+def test_segment_search_node_counts(factors, depth, nodes, extensible):
     # exact counts: a different count is a change in behaviour that needs explaining
     result = segment_extension_search(make_graph_spec(factors), depth)
-    assert not result.extensible
-    assert result.dead_depth == depth
+    assert result.extensible == extensible
+    assert result.dead_depth == (None if extensible else depth)
     assert result.nodes_explored == nodes
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from hamming_radio.cli import main, worker_cap
+from hamming_radio.cli import main
 from hamming_radio.data import golden_path
 from hamming_radio.documents import parse_ordering_text
 from hamming_radio.verify import check_ordering
@@ -121,6 +121,10 @@ def test_search_input_errors(runner):
     assert invoke(runner, "search", "3^2", "--randomize").exit_code == 2
     assert invoke(runner, "search", "3^2", "--reduced-k34").exit_code == 2
     assert invoke(runner, "search", "bogus").exit_code == 2
+    # the reduced search always pins rows 1-2, so it cannot honour --no-symmetry
+    result = invoke(runner, "search", "--reduced-k34", "--no-symmetry")
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:")
 
 
 def test_search_bad_spec_with_reduced_k34(runner):
@@ -185,14 +189,3 @@ def test_lambda_command(runner):
 def test_lambda_error_codes(runner):
     assert invoke(runner, "lambda", "-n", "2", "-s", "2").exit_code == 2
     assert invoke(runner, "lambda", "-n", "5", "-s", "11").exit_code == 3
-
-
-def test_worker_cap_env(monkeypatch):
-    monkeypatch.setenv("HAMMING_RADIO_THREADS", "2")
-    assert worker_cap() == 2
-    monkeypatch.setenv("HAMMING_RADIO_THREADS", "0")
-    assert worker_cap() == 1
-    monkeypatch.setenv("HAMMING_RADIO_THREADS", "junk")
-    assert worker_cap() >= 1
-    monkeypatch.delenv("HAMMING_RADIO_THREADS")
-    assert worker_cap() >= 1

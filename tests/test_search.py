@@ -3,7 +3,6 @@ import pytest
 from hamming_radio.errors import InvalidWitnessError, SpecError, TooLargeError
 from hamming_radio.graphs import make_graph_spec
 from hamming_radio.search import (
-    CandidateOrder,
     SearchConfig,
     SearchStatus,
     _k34_successor_table,
@@ -23,8 +22,10 @@ def test_config_validation():
         with pytest.raises(SpecError):
             SearchConfig(time_budget=budget)
     with pytest.raises(SpecError):
-        SearchConfig(value_order=CandidateOrder.RANDOMIZED)
-    SearchConfig(value_order=CandidateOrder.RANDOMIZED, seed=1)
+        SearchConfig(randomize=True)
+    SearchConfig(randomize=True, seed=1)
+    with pytest.raises(SpecError):
+        search_k34_reduced(SearchConfig(symmetry_fixing=False))
 
 
 def test_search_finds_k3_2():
@@ -77,11 +78,35 @@ def test_search_node_budget_is_exact():
     )
 
 
+@pytest.mark.parametrize(
+    "factors,config,expected",
+    [
+        ([(3, 2)], {}, ("found", 18, 9)),
+        ([(3, 3)], {}, ("found", 10_220, 27)),
+        ([(2, 1), (3, 1), (4, 1)], {}, ("found", 124, 24)),
+        ([(4, 2)], {}, ("found", 78, 16)),
+        ([(5, 2)], {}, ("found", 1_403, 25)),
+        ([(4, 3)], {"node_budget": 20_000}, ("budget exceeded", 20_001, 59)),
+        ([(3, 3)], {"randomize": True, "seed": 42}, ("found", 170, 27)),
+        ([(3, 3)], {"randomize": True, "seed": 5}, ("found", 398, 27)),
+        # factors None: the reduced 3^4 search
+        (None, {"node_budget": 200_000}, ("budget exceeded", 200_001, 76)),
+        (None, {"node_budget": 50_000, "randomize": True, "seed": 7}, ("budget exceeded", 50_001, 73)),
+    ],
+)
+def test_search_counts_are_pinned(factors, config, expected):
+    # exact counts: a different count is a change in behaviour that needs explaining
+    config = SearchConfig(**config)
+    if factors is None:
+        outcome = search_k34_reduced(config)
+    else:
+        outcome = search_ordering(make_graph_spec(factors), config)
+    assert (outcome.status.value, outcome.nodes_explored, outcome.max_depth_reached) == expected
+
+
 def test_randomized_search_reproducible():
     spec = make_graph_spec([(3, 2)])
-    config = SearchConfig(
-        value_order=CandidateOrder.RANDOMIZED, column_order=CandidateOrder.RANDOMIZED, seed=42
-    )
+    config = SearchConfig(randomize=True, seed=42)
     a = search_ordering(spec, config)
     b = search_ordering(spec, config)
     assert a.status is SearchStatus.FOUND
@@ -134,7 +159,7 @@ def test_reduced_search_budget_determinism():
 
 
 def test_reduced_search_randomized_reproducible():
-    config = SearchConfig(node_budget=50_000, column_order=CandidateOrder.RANDOMIZED, seed=7)
+    config = SearchConfig(node_budget=50_000, randomize=True, seed=7)
     a = search_k34_reduced(config)
     b = search_k34_reduced(config)
     assert (a.status, a.nodes_explored, a.max_depth_reached) == (
