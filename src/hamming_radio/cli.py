@@ -32,8 +32,8 @@ from .errors import (
     TooLargeError,
 )
 from .instructions import (
+    GeneratorKind,
     builtin_generator,
-    check_order_generator,
     enumerate_fixing_runs,
     materialize,
     subscript_string,
@@ -44,6 +44,9 @@ from .search import (
     search_k34_reduced,
     search_ordering,
 )
+from .verify import check_ordering, induced_labeling
+
+_KIND_CHOICE = click.Choice([kind.value for kind in GeneratorKind])
 
 
 def _fail(code: int, message: str) -> None:
@@ -71,8 +74,6 @@ def main() -> None:
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def verify(path: str, boundary: bool, show_labeling: bool, fmt: str) -> None:
     """Check that an ordering file induces a consecutive radio labeling."""
-    from .verify import check_ordering, induced_labeling
-
     try:
         with open(path, encoding="utf-8") as fh:
             doc = parse_ordering_document(fh.read())
@@ -248,7 +249,7 @@ def search(
 @click.argument("instructions_path", type=click.Path(exists=True, dir_okay=False))
 @click.option(
     "--kind",
-    type=click.Choice(["transposition", "lru", "ltu", "history"]),
+    type=_KIND_CHOICE,
     default="lru",
     show_default=True,
 )
@@ -265,8 +266,8 @@ def generate(spec_string: str, instructions_path: str, kind: str, out_path: str 
             og = parse_instruction_rows(fh.read(), spec, generators)
     except (DocumentError, RadioGraphError, OSError) as exc:
         _fail(2, str(exc))
-    violations = check_order_generator(og)
     ordering = materialize(og)
+    violations = check_ordering(ordering)
     doc = OrderingDocument.from_ordering(ordering, {"generator_kind": kind})
     text = serialize_ordering_json(doc) if fmt == "json" else serialize_ordering_text(doc)
     if out_path:
@@ -284,7 +285,7 @@ def generate(spec_string: str, instructions_path: str, kind: str, out_path: str 
 
 
 @main.command(name="lambda")
-@click.option("--kind", type=click.Choice(["transposition", "lru", "ltu", "history"]), default="lru")
+@click.option("--kind", type=_KIND_CHOICE, default="lru")
 @click.option("-n", "--size", "n", type=int, required=True)
 @click.option("-s", "--length", "length", type=int, required=True)
 def lambda_cmd(kind: str, n: int, length: int) -> None:

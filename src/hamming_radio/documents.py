@@ -78,6 +78,12 @@ def serialize_ordering_text(doc: OrderingDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int_list(value: object) -> bool:
+    """A JSON array of integers.  Python reads JSON true/false as bool, a
+    subclass of int, so the type is compared exactly."""
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
 def parse_ordering_json(text: str) -> OrderingDocument:
     try:
         obj = json.loads(text)
@@ -89,14 +95,18 @@ def parse_ordering_json(text: str) -> OrderingDocument:
     if isinstance(raw_spec, str):
         spec = parse_spec_string(raw_spec)
     else:
+        if not isinstance(raw_spec, list) or not all(
+            _is_int_list(entry) and len(entry) == 2 for entry in raw_spec
+        ):
+            raise DocumentError(f"bad spec entry: {raw_spec!r}")
         try:
-            spec = make_graph_spec([(int(n), int(t)) for n, t in raw_spec])
-        except (RadioGraphError, TypeError, ValueError) as exc:
+            spec = make_graph_spec([tuple(entry) for entry in raw_spec])
+        except RadioGraphError as exc:
             raise DocumentError(f"bad spec entry: {raw_spec!r}") from exc
-    try:
-        rows = tuple(tuple(int(c) for c in row) for row in obj["rows"])
-    except (TypeError, ValueError) as exc:
-        raise DocumentError("rows must be lists of integers") from exc
+    raw_rows = obj["rows"]
+    if not isinstance(raw_rows, list) or not all(_is_int_list(row) for row in raw_rows):
+        raise DocumentError("rows must be lists of integers")
+    rows = tuple(tuple(row) for row in raw_rows)
     metadata = obj.get("metadata")
     if metadata is None:
         metadata = {}
@@ -130,8 +140,9 @@ def parse_instruction_rows(
 ) -> OrderGenerator:
     """Parse an instruction matrix of 'id' / 'f2' / 'f3' ... tokens.
 
-    Tokens are resolved against each column's instruction set at that row, so
-    the same token can mean different permutations for history-aware kinds.
+    Tokens are resolved against the set each column's generator offers after
+    the instruction one row up, so the same token can mean different
+    permutations for the history kind.
     """
     lines = [line.split() for line in text.splitlines() if line.strip()]
     t = spec.diameter
@@ -143,7 +154,6 @@ def parse_instruction_rows(
         if len(toks) != t:
             raise DocumentError(f"row {lineno} has {len(toks)} entries, expected {t}")
 
-    histories: list[list[Permutation]] = [[] for _ in range(t)]
     cells: list[tuple[Permutation, ...]] = []
     for i, toks in enumerate(lines, start=1):
         row: list[Permutation] = []
@@ -158,14 +168,13 @@ def parse_instruction_rows(
                 if not m:
                     raise DocumentError(f"row {i}: bad instruction token {tok!r}")
                 subscript = int(m.group(1))
-                iset = gen.sets(i, histories[j])
+                iset = gen.sets(cells[-1][j])
                 try:
                     sigma = iset.by_subscript(subscript)
                 except RadioGraphError as exc:
                     raise DocumentError(f"row {i}, column {j + 1}: {exc}") from exc
                 if i == 2 and subscript != 2:
                     raise DocumentError("row 2 must be 'f2' in every column")
-            histories[j].append(sigma)
             row.append(sigma)
         cells.append(tuple(row))
     try:

@@ -4,10 +4,13 @@ A length-N value column (first value 1, then 2, consecutive values distinct)
 can be encoded as a column of permutations: keep an arrangement of the n
 values, apply one permutation per row, and read off the front value.  An
 instruction set supplies the n-1 legal permutations f_2..f_n at each position,
-normalized so f_k moves the value in slot k to the front (f_k(k) = 1).  With
-row 1 fixed to the identity and row 2 to f_2, encoding and decoding are
-mutually inverse, and a value repeats at gap s exactly when the corresponding
-run of s instructions composes to something fixing slot 1.
+normalized so f_k moves the value in slot k to the front (f_k(k) = 1).  The
+set offered at a row depends at most on the instruction one row up, so a
+generator maps the previous instruction to the next set, and a column is a
+walk through those sets.  With row 1 fixed to the identity and row 2 to f_2,
+encoding and decoding are mutually inverse, and a value repeats at gap s
+exactly when the corresponding run of s instructions composes to something
+fixing slot 1.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -84,46 +87,37 @@ class GeneratorKind(Enum):
     LRU = "lru"
     LTU = "ltu"
     HISTORY_DEPENDENT = "history"
-    CUSTOM = "custom"
 
 
+@dataclass(frozen=True)
 class InstructionGenerator:
-    """Per-position family of instruction sets.
+    """One of the four instruction-set families over {1..n}, n >= 3.
 
-    Constant kinds return the same set everywhere; the history-dependent kind
-    reads the previously chosen instruction.  `evaluate` takes (position,
-    history) with history = instructions at positions 1..position-1.
+    The transposition, lru and ltu kinds offer the same set at every row; the
+    history kind reads which slot the previous instruction brought to the
+    front.
     """
 
-    def __init__(
-        self,
-        n: int,
-        kind: GeneratorKind | str,
-        evaluate: Callable[[int, tuple[Permutation, ...]], InstructionSet],
-    ) -> None:
-        if n < 3:
-            raise UnsupportedSizeError(f"instruction machinery needs n >= 3, got {n}")
-        self.n = n
-        self.kind = GeneratorKind(kind) if not isinstance(kind, GeneratorKind) else kind
-        self._evaluate = evaluate
+    kind: GeneratorKind
+    n: int
 
-    def sets(self, position: int, history: Sequence[Permutation] | None = None) -> InstructionSet:
-        if position < 2:
-            raise MembershipError(f"instructions start at position 2, got {position}")
-        return self._evaluate(position, tuple(history) if history else ())
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", GeneratorKind(self.kind))
+        if self.n < 3:
+            raise UnsupportedSizeError(f"instruction machinery needs n >= 3, got {self.n}")
 
-    def __repr__(self) -> str:
-        return f"InstructionGenerator({self.kind.value}, n={self.n})"
-
-
-@lru_cache(maxsize=None)
-def _transposition_set(n: int) -> InstructionSet:
-    out = []
-    for k in range(2, n + 1):
-        images = list(range(1, n + 1))
-        images[0], images[k - 1] = k, 1
-        out.append(Permutation(images))
-    return InstructionSet(tuple(out))
+    def sets(self, previous: Permutation) -> InstructionSet:
+        """The set offered after the instruction `previous`; for row 2,
+        `previous` is the identity in row 1."""
+        if self.kind is GeneratorKind.LRU:
+            return _lru_set(self.n)
+        if self.kind is GeneratorKind.LTU:
+            return _ltu_set(self.n)
+        if self.kind is GeneratorKind.TRANSPOSITION:
+            return _recency_set(self.n, 1)
+        if previous.n != self.n:
+            raise MembershipError("previous instruction permutes a different 1..n")
+        return _recency_set(self.n, previous.inverse()(1))
 
 
 @lru_cache(maxsize=None)
@@ -153,18 +147,17 @@ def _ltu_set(n: int) -> InstructionSet:
 
 @lru_cache(maxsize=None)
 def _recency_set(n: int, kprime: int) -> InstructionSet:
-    """Sets for the history-dependent kind, keyed by the previous subscript.
+    """Sets keyed by the slot kprime that the previous instruction brought to
+    the front (1 after the identity).
 
-    f_k for k != kprime cycles 1 -> kprime -> k -> 1 (degenerating to the
-    transposition (1 k) when kprime is 1); the remaining member is the
-    transposition (1 kprime).
+    f_k for k != kprime cycles 1 -> kprime -> k -> 1; the remaining member,
+    and every member when kprime is 1, is the transposition (1 k).  With
+    kprime fixed at 1 this is the transposition kind's set.
     """
     out = []
     for k in range(2, n + 1):
         images = list(range(1, n + 1))
-        if k == kprime:
-            images[0], images[k - 1] = k, 1
-        elif kprime == 1:
+        if k == kprime or kprime == 1:
             images[0], images[k - 1] = k, 1
         else:
             images[0] = kprime
@@ -176,33 +169,7 @@ def _recency_set(n: int, kprime: int) -> InstructionSet:
 
 def builtin_generator(kind: GeneratorKind | str, n: int) -> InstructionGenerator:
     """One of the four built-in generator families over {1..n}, n >= 3."""
-    kind = GeneratorKind(kind) if not isinstance(kind, GeneratorKind) else kind
-    if n < 3:
-        raise UnsupportedSizeError(f"instruction machinery needs n >= 3, got {n}")
-    if kind is GeneratorKind.TRANSPOSITION:
-        return InstructionGenerator(n, kind, lambda pos, hist: _transposition_set(n))
-    if kind is GeneratorKind.LRU:
-        return InstructionGenerator(n, kind, lambda pos, hist: _lru_set(n))
-    if kind is GeneratorKind.LTU:
-        return InstructionGenerator(n, kind, lambda pos, hist: _ltu_set(n))
-    if kind is GeneratorKind.HISTORY_DEPENDENT:
-
-        def evaluate(position: int, history: tuple[Permutation, ...]) -> InstructionSet:
-            if history:
-                last = history[-1]
-                if last.n != n:
-                    raise MembershipError("history permutation size mismatch")
-                kprime = last.inverse()(1)
-            elif position == 2:
-                kprime = 1
-            else:
-                raise MembershipError(
-                    "history-dependent generator needs the preceding instructions"
-                )
-            return _recency_set(n, kprime)
-
-        return InstructionGenerator(n, kind, evaluate)
-    raise MembershipError("custom generators are built directly from InstructionGenerator")
+    return InstructionGenerator(kind, n)
 
 
 def arrangement_trace(
@@ -217,10 +184,9 @@ def arrangement_trace(
         raise MembershipError("row 1 of an instruction column must be the identity")
     arr = tuple(range(1, n + 1))
     trace = [arr]
-    history = [instrs[0]]
     for pos in range(2, len(instrs) + 1):
         sigma = instrs[pos - 1]
-        iset = gen.sets(pos, history)
+        iset = gen.sets(instrs[pos - 2])
         if pos == 2:
             if sigma != iset.by_subscript(2):
                 raise MembershipError("row 2 of an instruction column must be f_2")
@@ -230,7 +196,6 @@ def arrangement_trace(
             )
         arr = act(sigma, arr)
         trace.append(arr)
-        history.append(sigma)
     return trace
 
 
@@ -266,7 +231,7 @@ def recover_instructions(
     for pos in range(2, len(vals) + 1):
         target = vals[pos - 1]
         slot = arr.index(target) + 1
-        sigma = gen.sets(pos, out).by_subscript(slot)
+        sigma = gen.sets(out[-1]).by_subscript(slot)
         out.append(sigma)
         arr = act(sigma, arr)
     return tuple(out)
@@ -280,14 +245,23 @@ def run_fixes_one(run: Iterable[Permutation]) -> bool:
     return point == 1
 
 
+def _walks(
+    gen: InstructionGenerator, previous: Permutation, length: int
+) -> Iterator[tuple[Permutation, ...]]:
+    """Every legal run of `length` instructions following `previous`, depth
+    first in the order of each instruction set."""
+    if length == 0:
+        yield ()
+        return
+    for sigma in gen.sets(previous):
+        for rest in _walks(gen, sigma, length - 1):
+            yield (sigma,) + rest
+
+
 def enumerate_fixing_runs(
-    gen: InstructionGenerator,
-    length: int,
-    position: int = 2,
-    history: Sequence[Permutation] | None = None,
-    max_runs: int = 1 << 20,
+    gen: InstructionGenerator, length: int, max_runs: int = 1 << 20
 ) -> frozenset[tuple[Permutation, ...]]:
-    """All legal runs of `length` instructions starting at `position` whose
+    """All legal runs of `length` instructions starting at row 2 whose
     composition fixes 1.  A value column repeats at gap s exactly where its
     trailing run of s instructions lands in this set."""
     if length < 1:
@@ -296,21 +270,7 @@ def enumerate_fixing_runs(
         raise BudgetExceededError(
             f"{(gen.n - 1) ** length} candidate runs exceed the cap of {max_runs}"
         )
-    if history is None:
-        history = (identity(gen.n),) if position == 2 else ()
-    base = tuple(history)
-    found: list[tuple[Permutation, ...]] = []
-
-    def rec(pos: int, hist: tuple[Permutation, ...], run: tuple[Permutation, ...]) -> None:
-        if len(run) == length:
-            if run_fixes_one(run):
-                found.append(run)
-            return
-        for sigma in gen.sets(pos, hist):
-            rec(pos + 1, hist + (sigma,), run + (sigma,))
-
-    rec(position, base, ())
-    return frozenset(found)
+    return frozenset(filter(run_fixes_one, _walks(gen, identity(gen.n), length)))
 
 
 def enumerate_instruction_columns(
@@ -323,22 +283,8 @@ def enumerate_instruction_columns(
         raise BudgetExceededError(
             f"{(gen.n - 1) ** (length - 2)} columns exceed the cap of {max_columns}"
         )
-    out: list[tuple[Permutation, ...]] = []
-
-    def rec(hist: tuple[Permutation, ...]) -> None:
-        pos = len(hist) + 1
-        if pos > length:
-            out.append(hist)
-            return
-        iset = gen.sets(pos, hist)
-        if pos == 2:
-            rec(hist + (iset.by_subscript(2),))
-        else:
-            for sigma in iset:
-                rec(hist + (sigma,))
-
-    rec((identity(gen.n),))
-    return out
+    head = (identity(gen.n), gen.sets(identity(gen.n)).by_subscript(2))
+    return [head + walk for walk in _walks(gen, head[1], length - 2)]
 
 
 def subscript_string(run: Iterable[Permutation]) -> str:

@@ -9,18 +9,20 @@ instruction matrix is determined by the column receiving its single f_2.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Any
 
 from .errors import InvalidWitnessError, SpecError, TooLargeError
 from .graphs import GraphSpec, Vertex, enumerate_vertices, make_graph_spec, shared_coordinates
 from .instructions import GeneratorKind, builtin_generator
-from .perms import act
+from .perms import act, identity
 from .verify import Ordering, is_valid_ordering
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
@@ -187,20 +189,24 @@ def brute_force_radio_graceful(spec: GraphSpec, max_vertices: int = 9) -> BruteF
     return BruteForceResult(False, None)
 
 
-def _k34_successor_table() -> tuple[list[Vertex], dict[Vertex, int], list[list[tuple[int, ...] | None]]]:
-    """Transition table for the reduced K_3^4 walk.
+@functools.cache
+def _k34_successor_table() -> tuple[
+    tuple[Vertex, ...], Mapping[Vertex, int], tuple[tuple[tuple[int, ...] | None, ...], ...]
+]:
+    """Transition table for the reduced K_3^4 walk, built once per process.
 
     A state is the last two rows (u, v); they differ in every coordinate, so
     each column's shift-to-front arrangement is exactly (v_j, u_j, other).
     Placing f_2 in column c and f_3 elsewhere advances every arrangement and
     the new row reads off the fronts.  Entries are indices into the vertex
-    list; pairs that share a coordinate never occur and stay None.
+    list; pairs that share a coordinate never occur and stay None.  Every
+    search shares the result, so it is returned read-only.
     """
     spec = make_graph_spec([(3, 4)])
     gen = builtin_generator(GeneratorKind.LRU, 3)
-    iset = gen.sets(2)
+    iset = gen.sets(identity(3))
     f2, f3 = iset.by_subscript(2), iset.by_subscript(3)
-    vertices = list(enumerate_vertices(spec))
+    vertices = tuple(enumerate_vertices(spec))
     index = {v: i for i, v in enumerate(vertices)}
     table: list[list[tuple[int, ...] | None]] = [[None] * len(vertices) for _ in vertices]
     for u in vertices:
@@ -214,7 +220,7 @@ def _k34_successor_table() -> tuple[list[Vertex], dict[Vertex, int], list[list[t
                 nxt = [act(f2 if j == c else f3, arrs[j])[0] for j in range(4)]
                 row.append(index[tuple(nxt)])
             table[index[u]][index[v]] = tuple(row)
-    return vertices, index, table
+    return vertices, MappingProxyType(index), tuple(map(tuple, table))
 
 
 def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:

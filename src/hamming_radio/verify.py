@@ -9,7 +9,6 @@ row and column indices in this module are 1-based to match that convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import RepetitionError, ShapeError
 from .graphs import GraphSpec, Vertex, shared_coordinates
@@ -218,7 +217,3 @@ def permute_column(ordering: Ordering, col: int, sigma: Permutation) -> Ordering
         row[: col - 1] + (sigma(row[col - 1]),) + row[col:] for row in ordering.rows
     )
     return Ordering(ordering.spec, new_rows)
-
-
-def ordering_from_rows(spec: GraphSpec, rows: Iterable[Iterable[int]]) -> Ordering:
-    return Ordering(spec, tuple(tuple(r) for r in rows))

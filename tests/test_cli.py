@@ -63,6 +63,13 @@ def test_verify_parse_error(runner, tmp_path):
     assert result.exit_code == 2
     result = invoke(runner, "verify", str(tmp_path / "missing.txt"))
     assert result.exit_code == 2
+    # string rows used to be read digit by digit, and this one verified "ok"
+    strings = tmp_path / "strings.json"
+    strings.write_text(json.dumps(
+        {"spec": "3^2", "rows": ["11", "22", "33", "12", "23", "31", "13", "21", "32"]}
+    ))
+    result = invoke(runner, "verify", str(strings))
+    assert result.exit_code == 2
 
 
 def test_bound_command(runner):
@@ -157,6 +164,23 @@ def test_generate_round_trip(runner, tmp_path, golden_k34):
     assert result.exit_code == 0, result.stderr
     assert parse_ordering_text(result.stdout).rows == golden_k34.rows
     assert "ok: decoded ordering" in result.stderr
+
+
+def test_generate_decodes_each_column_once(runner, tmp_path, golden_k34, monkeypatch):
+    from hamming_radio import instructions
+
+    calls = []
+    real = instructions.build_column
+
+    def counting(column, gen):
+        calls.append(gen)
+        return real(column, gen)
+
+    monkeypatch.setattr(instructions, "build_column", counting)
+    matrix = tmp_path / "instructions.txt"
+    matrix.write_text(instruction_text_for(golden_k34, instructions.builtin_generator("lru", 3)))
+    assert invoke(runner, "generate", "3^4", str(matrix)).exit_code == 0
+    assert len(calls) == golden_k34.spec.diameter
 
 
 def test_generate_reports_violations(runner, tmp_path):

@@ -85,6 +85,13 @@ def test_json_accepts_spec_string(golden_k32):
         json.dumps({"spec": "3^2", "rows": [["a", 1]]}),
         json.dumps({"spec": "3^2", "rows": [[1, 1]], "metadata": []}),
         json.dumps({"spec": [[3, "x"]], "rows": [[1, 1]]}),
+        json.dumps({"spec": "3^2", "rows": ["11", "22", "33", "12", "23", "31", "13", "21", "32"]}),
+        json.dumps({"spec": "3^1", "rows": [["1"], [2], [3]]}),
+        json.dumps({"spec": "3^1", "rows": [[2.9], [1], [3]]}),
+        json.dumps({"spec": "3^1", "rows": [[True], [2], [3]]}),
+        json.dumps({"spec": [[3.7, 1.2]], "rows": [[1], [2], [3]]}),
+        json.dumps({"spec": [[3, True]], "rows": [[1], [2], [3]]}),
+        json.dumps({"spec": ["31"], "rows": [[1], [2], [3]]}),
     ],
 )
 def test_json_parse_errors(payload):
@@ -122,8 +129,9 @@ def instruction_text_for(ordering, gen) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_parse_instruction_rows_reconstructs_golden(golden_k34):
-    gen = builtin_generator(GeneratorKind.LRU, 3)
+@pytest.mark.parametrize("kind", list(GeneratorKind))
+def test_parse_instruction_rows_reconstructs_golden(golden_k34, kind):
+    gen = builtin_generator(kind, 3)
     text = instruction_text_for(golden_k34, gen)
     generators = (gen,) * 4
     og = parse_instruction_rows(text, golden_k34.spec, generators)

@@ -148,6 +148,19 @@ def test_successor_table_closed_form():
                     assert w[j] == 6 - u[j] - v[j]
 
 
+def test_successor_table_built_once():
+    _k34_successor_table.cache_clear()
+    config = SearchConfig(node_budget=10)
+    search_k34_reduced(config)
+    search_k34_reduced(config)
+    assert _k34_successor_table.cache_info().misses == 1
+    vertices, index, table = _k34_successor_table()
+    with pytest.raises(TypeError):
+        table[0] = None  # shared by every search, so read-only
+    with pytest.raises(TypeError):
+        index[vertices[0]] = 1
+
+
 def test_reduced_search_budget_determinism():
     config = SearchConfig(node_budget=200_000)
     a = search_k34_reduced(config)
