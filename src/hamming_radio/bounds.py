@@ -261,7 +261,7 @@ def segment_extension_search(
     def children():
         return _candidate_rows(sizes, rows, budgets_for(len(rows) + 1))
 
-    status, nodes, deepest = _depth_first(
+    status, nodes, deepest, _ = _depth_first(
         rows, depth + 1, children, rows.append, rows.pop, max_nodes, math.inf
     )
     if status is SearchStatus.BUDGET_EXCEEDED:

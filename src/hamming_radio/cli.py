@@ -228,6 +228,9 @@ def search(
         f"deepest row {outcome.max_depth_reached})",
         err=True,
     )
+    elapsed = outcome.elapsed_s
+    rate = f" ({outcome.nodes_explored / elapsed:,.0f} nodes/s)" if elapsed > 0 else ""
+    click.echo(f"elapsed {elapsed:.2f} s{rate}", err=True)
     if outcome.status is SearchStatus.FOUND:
         doc = OrderingDocument.from_ordering(outcome.ordering)
         text = serialize_ordering_json(doc) if fmt == "json" else serialize_ordering_text(doc)

@@ -17,7 +17,10 @@ from .instructions import InstructionGenerator, OrderGenerator, make_order_gener
 from .perms import Permutation, identity
 from .verify import Ordering
 
-_FACTOR_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+# Numbers are ASCII digits only: \d and int() would also take "+1", "1_0" and
+# other scripts' digits such as full-width "３".
+_FACTOR_RE = re.compile(r"([0-9]+)(?:\^([0-9]+))?")
+_ROW_RE = re.compile(r"[0-9]+(?:\s+[0-9]+)*", re.ASCII)
 
 
 def parse_spec_string(text: str) -> GraphSpec:
@@ -26,7 +29,7 @@ def parse_spec_string(text: str) -> GraphSpec:
     factors = []
     for part in parts:
         part = part.strip().replace(" ", "")
-        m = _FACTOR_RE.match(part)
+        m = _FACTOR_RE.fullmatch(part)
         if not m:
             raise DocumentError(f"cannot parse factor {part!r} in spec {text!r}")
         factors.append((int(m.group(1)), int(m.group(2) or 1)))
@@ -65,10 +68,9 @@ def parse_ordering_text(text: str) -> OrderingDocument:
     spec = parse_spec_string(lines[0].split(":", 1)[1])
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            rows.append(tuple(int(tok) for tok in line.split()))
-        except ValueError as exc:
-            raise DocumentError(f"line {lineno}: expected integers, got {line!r}") from exc
+        if not _ROW_RE.fullmatch(line):
+            raise DocumentError(f"line {lineno}: expected integers, got {line!r}")
+        rows.append(tuple(map(int, line.split())))
     return OrderingDocument(spec, tuple(rows))
 
 
@@ -132,7 +134,7 @@ def parse_ordering_document(text: str) -> OrderingDocument:
     return parse_ordering_text(text)
 
 
-_TOKEN_RE = re.compile(r"^f(\d+)$")
+_TOKEN_RE = re.compile(r"f([0-9]+)")
 
 
 def parse_instruction_rows(
@@ -164,7 +166,7 @@ def parse_instruction_rows(
                     raise DocumentError(f"row 1 must be 'id' in every column, got {tok!r}")
                 sigma = identity(gen.n)
             else:
-                m = _TOKEN_RE.match(tok)
+                m = _TOKEN_RE.fullmatch(tok)
                 if not m:
                     raise DocumentError(f"row {i}: bad instruction token {tok!r}")
                 subscript = int(m.group(1))

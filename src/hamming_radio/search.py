@@ -2,9 +2,14 @@
 
 search_ordering runs a depth-first search over rows, pruning with the
 shared-coordinate window rule, so an exhausted symmetry-fixed search is a
-proof that no consecutive radio labeling exists.  search_k34_reduced walks the
-much smaller instruction-side state space for K_3^4, where each row of the
-instruction matrix is determined by the column receiving its single f_2.
+proof that no consecutive radio labeling exists.  It applies the rule to all
+candidates at once as bitsets: per-column value masks, built in one pass over
+the candidate list, give each recent row the set of candidates sharing k or
+more coordinates with it, and a level's children are the bits left over.
+Only the last rows' masks are kept, so memory does not grow with depth.
+search_k34_reduced walks the much smaller instruction-side state space for
+K_3^4, where each row of the instruction matrix is determined by the column
+receiving its single f_2.
 """
 
 from __future__ import annotations
@@ -13,14 +18,16 @@ import functools
 import math
 import random
 import time
-from collections.abc import Callable, Iterable, Mapping
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Any
 
 from .errors import InvalidWitnessError, SpecError, TooLargeError
-from .graphs import GraphSpec, Vertex, enumerate_vertices, make_graph_spec, shared_coordinates
+from .graphs import GraphSpec, Vertex, enumerate_vertices, make_graph_spec
 from .instructions import GeneratorKind, builtin_generator
 from .perms import act, identity
 from .verify import Ordering, is_valid_ordering
@@ -57,12 +64,15 @@ class SearchOutcome:
     ordering: Ordering | None
     nodes_explored: int
     max_depth_reached: int
+    elapsed_s: float  # wall time of the depth-first loop alone
 
 
-def _finish(status: SearchStatus, ordering: Ordering | None, nodes: int, depth: int) -> SearchOutcome:
+def _finish(
+    status: SearchStatus, ordering: Ordering | None, nodes: int, depth: int, elapsed: float
+) -> SearchOutcome:
     if ordering is not None and not is_valid_ordering(ordering):
         raise InvalidWitnessError(f"search produced an invalid ordering of {ordering.spec}")
-    return SearchOutcome(status, ordering, nodes, depth)
+    return SearchOutcome(status, ordering, nodes, depth, elapsed)
 
 
 def _depth_first(
@@ -72,8 +82,8 @@ def _depth_first(
     push: Callable[[Any], object],
     pop: Callable[[], object],
     node_budget: int,
-    deadline: float,
-) -> tuple[SearchStatus, int, int]:
+    time_budget: float,
+) -> tuple[SearchStatus, int, int, float]:
     """The depth-first loop behind every search in the package.
 
     children() gives the candidates for the row after the current `rows`,
@@ -81,16 +91,20 @@ def _depth_first(
     child may be None, which marks an exhausted level.  Each child taken
     counts as a node.  Stops with FOUND once `rows` holds target rows, with
     BUDGET_EXCEEDED on the first node past node_budget or, checked every 1024
-    nodes, past the time.monotonic() deadline, and otherwise with
-    EXHAUSTED_NO_SOLUTION.  Returns the status, the node count and the deepest
-    row count reached.
+    nodes, more than time_budget seconds after the start, and otherwise with
+    EXHAUSTED_NO_SOLUTION.  Returns the status, the node count, the deepest
+    row count reached and the seconds the loop took.
     """
+    start = time.monotonic()
+    deadline = start + time_budget
     nodes = 0
     max_depth = len(rows)
+    status = SearchStatus.EXHAUSTED_NO_SOLUTION
     stack = [iter(children())]
     while stack:
         if len(rows) == target:
-            return SearchStatus.FOUND, nodes, max_depth
+            status = SearchStatus.FOUND
+            break
         child = next(stack[-1], None)
         if child is None:
             stack.pop()
@@ -99,12 +113,30 @@ def _depth_first(
             continue
         nodes += 1
         if nodes > node_budget or (nodes % 1024 == 0 and time.monotonic() > deadline):
-            return SearchStatus.BUDGET_EXCEEDED, nodes, max_depth
+            status = SearchStatus.BUDGET_EXCEEDED
+            break
         push(child)
         if len(rows) > max_depth:
             max_depth = len(rows)
         stack.append(iter(children()))
-    return SearchStatus.EXHAUSTED_NO_SOLUTION, nodes, max_depth
+    return status, nodes, max_depth, time.monotonic() - start
+
+
+def _column_masks(candidates: list[Vertex], sizes: tuple[int, ...]) -> list[list[int]]:
+    """masks[j][a] has bit i set when candidates[i] has value a in column j.
+
+    Each column is written out as one character per candidate, last candidate
+    first, and translated to a binary numeral per value, so every mask takes
+    linear time to build.  chr() caps values at 0x10FFFF; a column that large
+    alone exceeds DEFAULT_ENUMERATION_CAP.
+    """
+    masks = []
+    for j, size in enumerate(sizes):
+        column = "".join(map(chr, map(itemgetter(j), reversed(candidates))))
+        masks.append(
+            [0] + [int(column.translate("0" * a + "1" + "0" * (size - a)), 2) for a in range(1, size + 1)]
+        )
+    return masks
 
 
 def search_ordering(
@@ -120,6 +152,18 @@ def search_ordering(
     The exploration order is fully determined by config and seed; node-budget
     cutoffs reproduce outcome and node count exactly, wall-clock cutoffs land
     wherever the clock does.
+
+    Candidate sets are bitsets over positions in the candidate list.  For
+    each recent row the window keeps at_least[k], the candidates sharing k or
+    more coordinates with that row, so a level's admissible set is every
+    position neither used nor in at_least[k] of the row k back, for k < t.
+    Its children are the set bits in increasing position, which is candidate
+    order, so the visit order is the plain scan's.  Memory stays flat: the
+    window holds the last t - 1 rows plus at most one more, a suspended level
+    keeps only its resume position and re-reads the admissible set when it
+    resumes, and a pop that leaves fewer than t - 1 rows in the window
+    recomputes the masks of the one row that re-enters it.  The extra row
+    makes a dead end's push and pop cost no recompute.
     """
     config = config or SearchConfig()
     n_total = spec.num_vertices
@@ -129,38 +173,74 @@ def search_ordering(
     if config.randomize:
         random.Random(config.seed).shuffle(candidates)
     t = spec.diameter
+    column_masks = _column_masks(candidates, spec.column_sizes())
+    everything = (1 << n_total) - 1
+    # the at_least[k] updated by column j: those with k <= j + 1, downwards
+    updates = [range(min(j + 1, t - 1), 0, -1) for j in range(t)]
 
-    rows: list[Vertex] = []
-    used: set[Vertex] = set()
+    rows: list[int] = []  # positions in candidates
+    window: deque[list[int]] = deque()  # at_least masks of the last rows, oldest first
+    used = 0
+    free = everything  # admissible positions after the current rows
 
-    def admissible(v: Vertex) -> bool:
-        """check_ordering's window rule for v against the rows placed so far;
-        this hot incremental form keeps its own loop."""
-        if v in used:
-            return False
-        for k in range(1, min(t - 1, len(rows)) + 1):
-            if shared_coordinates(v, rows[-k]) >= k:
-                return False
-        return True
+    def at_least(pos: int) -> list[int]:
+        """at_least[k] for 1 <= k < t: candidates sharing k or more
+        coordinates with candidates[pos]; at_least[0] is everything, and
+        at_least[t] stays 0 because a row t back constrains nothing."""
+        masks = [everything] + [0] * t
+        for by_value, value, ks in zip(column_masks, candidates[pos], updates):
+            same = by_value[value]
+            for k in ks:
+                masks[k] |= masks[k - 1] & same
+        return masks
 
-    def push(v: Vertex) -> None:
-        rows.append(v)
-        used.add(v)
+    def refresh() -> None:
+        nonlocal free
+        blocked = used
+        k = len(window)
+        for masks in window:
+            blocked |= masks[k]
+            k -= 1
+        free = everything ^ blocked
+
+    def children() -> Iterator[int]:
+        pos = 0
+        while True:
+            rest = free >> pos
+            if not rest:
+                return
+            pos += (rest & -rest).bit_length()
+            del rest  # so that a suspended level holds no N-bit mask
+            yield pos - 1
+
+    def push(pos: int) -> None:
+        nonlocal used
+        rows.append(pos)
+        used |= 1 << pos
+        window.append(at_least(pos))
+        if len(window) > t:
+            window.popleft()
+        refresh()
 
     def pop() -> None:
-        used.discard(rows.pop())
+        nonlocal used
+        used ^= 1 << rows.pop()
+        window.pop()
+        if len(window) < t - 1 <= len(rows):
+            window.appendleft(at_least(rows[-(t - 1)]))
+        refresh()
 
     if config.symmetry_fixing and n_total >= 2:
-        push(spec.constant_vertex(1))
-        push(spec.constant_vertex(2))
+        push(candidates.index(spec.constant_vertex(1)))
+        push(candidates.index(spec.constant_vertex(2)))
 
-    deadline = time.monotonic() + config.time_budget
-    # filter is lazy, so each candidate is tested against the rows of its own level
-    status, nodes, max_depth = _depth_first(
-        rows, n_total, lambda: filter(admissible, candidates), push, pop, config.node_budget, deadline
+    status, nodes, max_depth, elapsed = _depth_first(
+        rows, n_total, children, push, pop, config.node_budget, config.time_budget
     )
-    ordering = Ordering(spec, tuple(rows)) if status is SearchStatus.FOUND else None
-    return _finish(status, ordering, nodes, max_depth)
+    ordering = None
+    if status is SearchStatus.FOUND:
+        ordering = Ordering(spec, tuple(candidates[pos] for pos in rows))
+    return _finish(status, ordering, nodes, max_depth, elapsed)
 
 
 @dataclass(frozen=True)
@@ -288,11 +368,10 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
         nonlocal used
         used &= ~(1 << rows.pop())
 
-    deadline = time.monotonic() + config.time_budget
-    status, nodes, max_depth = _depth_first(
-        rows, n_total, column_choices, push, pop, config.node_budget, deadline
+    status, nodes, max_depth, elapsed = _depth_first(
+        rows, n_total, column_choices, push, pop, config.node_budget, config.time_budget
     )
     ordering = None
     if status is SearchStatus.FOUND:
         ordering = Ordering(spec, tuple(vertices[i] for i in rows))
-    return _finish(status, ordering, nodes, max_depth)
+    return _finish(status, ordering, nodes, max_depth, elapsed)

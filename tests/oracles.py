@@ -207,3 +207,50 @@ def oracle_segment_search(sizes, depth):
     if extend():
         return True, tuple(rows), None, nodes
     return False, None, deepest, nodes
+
+
+def oracle_search_ordering(sizes, node_budget, seed=None, symmetry_fixing=True):
+    """The generic ordering search by a plain candidate scan, from the definition.
+
+    Candidates are all vertices in lexicographic order, shuffled by
+    random.Random(seed) when a seed is given.  With symmetry_fixing rows 1 and
+    2 are the all-1 and all-2 vertices.  A candidate is admissible when it is
+    unused and shares at most k - 1 coordinates with the row k back, for every
+    k below the diameter; each level tries its admissible candidates in list
+    order and each accepted row counts as one node.  The search stops on the
+    first node past node_budget.  Returns (status, nodes, deepest, rows), with
+    rows the found ordering or None.
+    """
+    t = len(sizes)
+    candidates = list(itertools.product(*(range(1, n + 1) for n in sizes)))
+    if seed is not None:
+        random.Random(seed).shuffle(candidates)
+    rows = [(1,) * t, (2,) * t] if symmetry_fixing else []
+    placed = set(rows)
+    nodes = 0
+    deepest = len(rows)
+
+    def admissible(v):
+        return v not in placed and all(
+            oracle_shared(v, rows[-k]) < k for k in range(1, min(t - 1, len(rows)) + 1)
+        )
+
+    def extend():
+        nonlocal nodes, deepest
+        if len(rows) == len(candidates):
+            return "found"
+        for v in [c for c in candidates if admissible(c)]:
+            nodes += 1
+            if nodes > node_budget:
+                return "budget exceeded"
+            rows.append(v)
+            placed.add(v)
+            deepest = max(deepest, len(rows))
+            status = extend()
+            if status:
+                return status
+            placed.remove(rows.pop())
+        return None
+
+    status = extend() or "exhausted"
+    return status, nodes, deepest, tuple(rows) if status == "found" else None

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -70,6 +71,12 @@ def test_verify_parse_error(runner, tmp_path):
     ))
     result = invoke(runner, "verify", str(strings))
     assert result.exit_code == 2
+    # int() takes a sign and \d other scripts' digits, so this file verified "ok"
+    unicode_digits = tmp_path / "unicode.txt"
+    unicode_digits.write_text("spec: \uff13^1\n+1\n 2\n\uff13\n", encoding="utf-8")
+    result = invoke(runner, "verify", str(unicode_digits))
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:")
 
 
 def test_bound_command(runner):
@@ -109,6 +116,15 @@ def test_search_finds_and_writes(runner, tmp_path):
     result = invoke(runner, "search", "3^2", "--out", str(out))
     assert result.exit_code == 0
     assert check_ordering(parse_ordering_text(out.read_text()).to_ordering()) == []
+
+
+def test_search_reports_elapsed_time(runner):
+    result = invoke(runner, "search", "3^3")
+    assert result.exit_code == 0
+    status, elapsed = result.stderr.splitlines()
+    # the status line is parsed by scripts, so its form is fixed
+    assert status == "status: found (nodes 10220, deepest row 27)"
+    assert re.fullmatch(r"elapsed \d+\.\d\d s \([\d,]+ nodes/s\)", elapsed)
 
 
 def test_search_exhausted_exit_code(runner):

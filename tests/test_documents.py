@@ -38,7 +38,10 @@ def test_parse_spec_string(text, factors):
     assert parse_spec_string(text) == make_graph_spec(factors)
 
 
-@pytest.mark.parametrize("text", ["", "x", "3^", "^4", "4x3", "3.5", "abc"])
+@pytest.mark.parametrize(
+    "text",
+    ["", "x", "3^", "^4", "4x3", "3.5", "abc", "+3", "3^+2", "1_0", "\uff13", "3^\uff12", "\u0663"],
+)
 def test_parse_spec_string_errors(text):
     with pytest.raises(DocumentError):
         parse_spec_string(text)
@@ -112,6 +115,14 @@ def test_text_parse_errors():
         parse_ordering_text("spec: 3^2\n1 one\n")
 
 
+@pytest.mark.parametrize("row", ["+1", "-1", "1_0", "\uff13", "1\u30002", "\u00b2"])
+def test_text_rows_take_ascii_digits_only(row):
+    # int() reads the first four, and str.split() splits at the ideographic space
+    with pytest.raises(DocumentError):
+        parse_ordering_text(f"spec: 3^1\n{row}\n")
+    assert parse_ordering_text("spec: 3^1\n 1\n2\t\n3\n").rows == ((1,), (2,), (3,))
+
+
 def test_to_ordering_validates_shape():
     doc = parse_ordering_text("spec: 3^2\n1 1\n")
     with pytest.raises(DocumentError):
@@ -152,5 +163,8 @@ def test_parse_instruction_rows_errors(golden_k32):
         parse_instruction_rows("id\nf3\nf3\n", spec, generators)  # row 2 must be f2
     with pytest.raises(DocumentError):
         parse_instruction_rows("id\nf2\nfx\n", spec, generators)
+    for token in ("f+3", "f\uff13", "f\u0663"):
+        with pytest.raises(DocumentError):
+            parse_instruction_rows(f"id\nf2\n{token}\n", spec, generators)
     with pytest.raises(DocumentError):
         parse_instruction_rows("id\nf2\nf9\n", spec, generators)  # subscript out of range

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import pytest
 
 from hamming_radio.errors import InvalidWitnessError, SpecError, TooLargeError
@@ -12,7 +15,7 @@ from hamming_radio.search import (
 )
 from hamming_radio.verify import check_ordering, is_valid_ordering
 
-from .oracles import seeded
+from .oracles import oracle_search_ordering, seeded
 
 
 def test_config_validation():
@@ -92,6 +95,8 @@ def test_search_node_budget_is_exact():
         # factors None: the reduced 3^4 search
         (None, {"node_budget": 200_000}, ("budget exceeded", 200_001, 76)),
         (None, {"node_budget": 50_000, "randomize": True, "seed": 7}, ("budget exceeded", 50_001, 73)),
+        # 4,096 vertices: the former per-candidate scan took about 40 s for this row on a 2-core VM
+        ([(4, 6)], {"node_budget": 20_000}, ("budget exceeded", 20_001, 3_409)),
     ],
 )
 def test_search_counts_are_pinned(factors, config, expected):
@@ -102,6 +107,54 @@ def test_search_counts_are_pinned(factors, config, expected):
     else:
         outcome = search_ordering(make_graph_spec(factors), config)
     assert (outcome.status.value, outcome.nodes_explored, outcome.max_depth_reached) == expected
+
+
+def _small_products(max_vertices):
+    """Every product of K_2, K_3, K_4 and K_5 powers with at most max_vertices vertices."""
+    out = []
+    for copies in itertools.product(range(7), range(4), range(4), range(3)):
+        factors = [(n, c) for n, c in zip((2, 3, 4, 5), copies) if c]
+        if factors and make_graph_spec(factors).num_vertices <= max_vertices:
+            out.append(factors)
+    return out
+
+
+ORACLE_SPECS = _small_products(64)
+
+
+@pytest.mark.parametrize("factors", ORACLE_SPECS, ids=lambda f: "x".join(f"{n}^{c}" for n, c in f))
+def test_search_matches_scan_oracle(factors):
+    """The bitset kernel visits candidates in the scan's order: the same
+    status, node count, deepest row and found ordering under every config."""
+    spec = make_graph_spec(factors)
+    sizes = spec.column_sizes()
+    # budget 50 under every order; budget 1000 under the lexicographic order and one seed
+    one_seed = ORACLE_SPECS.index(factors) % 10
+    runs = [(50, seed) for seed in (None, *range(10))] + [(1000, None), (1000, one_seed)]
+    for (budget, seed), symmetry in itertools.product(runs, (True, False)):
+        config = SearchConfig(
+            node_budget=budget, seed=seed, randomize=seed is not None, symmetry_fixing=symmetry
+        )
+        outcome = search_ordering(spec, config)
+        rows = outcome.ordering.rows if outcome.ordering else None
+        got = (outcome.status.value, outcome.nodes_explored, outcome.max_depth_reached, rows)
+        assert got == oracle_search_ordering(sizes, budget, seed, symmetry), (budget, seed, symmetry)
+
+
+@pytest.mark.parametrize("factors,budget", [([(4, 6)], 5_000), ([(4, 7)], 3_000)])
+def test_generic_search_memory_is_flat(factors, budget):
+    """Masks are kept for the last t - 1 rows and one spare only, never per
+    vertex or per suspended level.  Both runs dive about 3,000 rows deep; a
+    per-vertex mask cache peaks near 12 MiB on 4^6, and an N-bit mask held by
+    every suspended level near 9 MiB on 4^7 (16,384 vertices)."""
+    tracemalloc.start()
+    try:
+        outcome = search_ordering(make_graph_spec(factors), SearchConfig(node_budget=budget))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.nodes_explored == budget + 1
+    assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_randomized_search_reproducible():
