@@ -166,7 +166,7 @@ def bound(spec_string: str, fmt: str) -> None:
 
 @main.command()
 @click.argument("spec_string", required=False)
-@click.option("--reduced-k34", is_flag=True, help="Use the instruction-side search for K_3^4.")
+@click.option("--reduced-k34", is_flag=True, help="Use the step-vector walk for K_3^4.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--node-budget", type=int, default=None)

@@ -150,7 +150,7 @@ def parse_instruction_rows(
     t = spec.diameter
     if len(lines) != spec.num_vertices:
         raise DocumentError(
-            f"instruction matrix has {len(lines)} rows, spec needs {spec.num_vertices}"
+            f"instruction matrix has {len(lines)} rows, spec needs {spec.num_vertices_text}"
         )
     for lineno, toks in enumerate(lines, start=1):
         if len(toks) != t:

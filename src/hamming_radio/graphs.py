@@ -63,6 +63,13 @@ class GraphSpec:
         return math.prod(f.size ** f.copies for f in self.factors)
 
     @property
+    def num_vertices_text(self) -> str:
+        """num_vertices for messages; past 30 digits the product of factor
+        powers, since str() refuses an integer of more than 4,300 digits."""
+        n = self.num_vertices
+        return str(n) if n < 10**30 else " x ".join(f"{f.size}^{f.copies}" for f in self.factors)
+
+    @property
     def cumulative_widths(self) -> tuple[int, ...]:
         return tuple(itertools.accumulate(f.copies for f in self.factors))
 

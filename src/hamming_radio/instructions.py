@@ -310,7 +310,7 @@ class OrderGenerator:
         t = self.spec.diameter
         if len(cells) != self.spec.num_vertices:
             raise ShapeError(
-                f"order generator has {len(cells)} rows, spec needs {self.spec.num_vertices}"
+                f"order generator has {len(cells)} rows, spec needs {self.spec.num_vertices_text}"
             )
         for row in cells:
             if len(row) != t:

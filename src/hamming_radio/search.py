@@ -7,30 +7,29 @@ candidates at once as bitsets: per-column value masks, built in one pass over
 the candidate list, give each recent row the set of candidates sharing k or
 more coordinates with it, and a level's children are the bits left over.
 Only the last rows' masks are kept, so memory does not grow with depth.
-search_k34_reduced walks the much smaller instruction-side state space for
-K_3^4, where each row of the instruction matrix is determined by the column
-receiving its single f_2.
+search_k34_reduced searches K_3^4 as a walk over step vectors in Z_3^4: each
+step is +-1 in every coordinate and negates one coordinate of the step
+before it, so a row is three choices at most and only repetition needs
+backtracking.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 import time
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from types import MappingProxyType
 from typing import Any
 
 from .errors import InvalidWitnessError, SpecError, TooLargeError
 from .graphs import GraphSpec, Vertex, enumerate_vertices, make_graph_spec
-from .instructions import GeneratorKind, builtin_generator
-from .perms import act, identity
-from .verify import Ordering, is_valid_ordering
+from .verify import Ordering, check_ordering, is_valid_ordering
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
@@ -168,7 +167,9 @@ def search_ordering(
     config = config or SearchConfig()
     n_total = spec.num_vertices
     if n_total > max_vertices:
-        raise TooLargeError(f"{n_total} vertices exceed the enumeration cap {max_vertices}")
+        raise TooLargeError(
+            f"{spec.num_vertices_text} vertices exceed the enumeration cap {max_vertices}"
+        )
     candidates = list(enumerate_vertices(spec))
     if config.randomize:
         random.Random(config.seed).shuffle(candidates)
@@ -252,13 +253,11 @@ class BruteForceResult:
 def brute_force_radio_graceful(spec: GraphSpec, max_vertices: int = 9) -> BruteForceResult:
     """Ground-truth oracle: try every ordering with the first two rows pinned,
     checking each with the verifier."""
-    import itertools
-
-    from .verify import check_ordering
-
     n_total = spec.num_vertices
     if n_total > max_vertices:
-        raise TooLargeError(f"{n_total} vertices exceed the brute-force cap {max_vertices}")
+        raise TooLargeError(
+            f"{spec.num_vertices_text} vertices exceed the brute-force cap {max_vertices}"
+        )
     first = spec.constant_vertex(1)
     second = spec.constant_vertex(2)
     rest = [v for v in enumerate_vertices(spec) if v not in (first, second)]
@@ -270,51 +269,42 @@ def brute_force_radio_graceful(spec: GraphSpec, max_vertices: int = 9) -> BruteF
 
 
 @functools.cache
-def _k34_successor_table() -> tuple[
-    tuple[Vertex, ...], Mapping[Vertex, int], tuple[tuple[tuple[int, ...] | None, ...], ...]
-]:
-    """Transition table for the reduced K_3^4 walk, built once per process.
+def _k34_successors() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """succ[v][d][c]: the index of v + (d with bit c flipped) in K_3^4.
 
-    A state is the last two rows (u, v); they differ in every coordinate, so
-    each column's shift-to-front arrangement is exactly (v_j, u_j, other).
-    Placing f_2 in column c and f_3 elsewhere advances every arrangement and
-    the new row reads off the fronts.  Entries are indices into the vertex
-    list; pairs that share a coordinate never occur and stay None.  Every
-    search shares the result, so it is returned read-only.
+    Indices are lexicographic, so column j has weight 3^(3 - j), and bit j of
+    a step d set means -1 in coordinate j, clear means +1 (mod 3).  Built
+    once per process and shared by every search.
     """
-    spec = make_graph_spec([(3, 4)])
-    gen = builtin_generator(GeneratorKind.LRU, 3)
-    iset = gen.sets(identity(3))
-    f2, f3 = iset.by_subscript(2), iset.by_subscript(3)
-    vertices = tuple(enumerate_vertices(spec))
-    index = {v: i for i, v in enumerate(vertices)}
-    table: list[list[tuple[int, ...] | None]] = [[None] * len(vertices) for _ in vertices]
-    for u in vertices:
-        for v in vertices:
-            if any(a == b for a, b in zip(u, v)):
-                continue
-            arrs = [(v[j], u[j], next(x for x in (1, 2, 3) if x not in (u[j], v[j])))
-                    for j in range(4)]
-            row = []
-            for c in range(4):
-                nxt = [act(f2 if j == c else f3, arrs[j])[0] for j in range(4)]
-                row.append(index[tuple(nxt)])
-            table[index[u]][index[v]] = tuple(row)
-    return vertices, MappingProxyType(index), tuple(map(tuple, table))
+    weights = (27, 9, 3, 1)
+
+    def add(v: int, step: int) -> int:
+        return sum(w * ((v // w + (-1 if step >> j & 1 else 1)) % 3) for j, w in enumerate(weights))
+
+    return tuple(
+        tuple(tuple(add(v, d ^ (1 << c)) for c in range(4)) for d in range(16)) for v in range(81)
+    )
 
 
 def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
-    """Search K_3^4 on the instruction side.
+    """Search K_3^4 as a walk over step vectors.
 
-    Every column uses the cyclic shift-to-front family over {1,2,3}.  After
-    the all-f_2 second row, each instruction row must contain exactly one f_2,
-    in a different column from the row above; any such matrix satisfies the
-    radio condition, so only vertex repetition needs backtracking.  Children
-    whose own continuations are all used already are skipped unless they
-    complete the walk; that loses no solutions.  The exploration order is
-    fully determined by config and seed, so runs cut off by the node budget
-    reproduce outcome and node count exactly; a wall-clock cutoff lands
-    wherever the clock does.
+    Read the values as Z_3.  Rows 1-2 are pinned to the all-1 and all-2
+    vertices, so the first step is +1 in every coordinate.  K_3^4 is at the
+    boundary, where rows at gap j share exactly j - 1 coordinates, so every
+    step is a +-1 vector that negates exactly one coordinate of the step
+    before it, never the one negated last (else rows three apart would agree
+    in three coordinates).  Every such walk satisfies the radio condition, so
+    only vertex repetition needs backtracking.  Negating column c is the
+    instruction row with its single f_2 in column c.  A state is the tail
+    row, the last step and the column negated last.
+
+    A child w that is not the last row is skipped when every row one step
+    on from it is used already: the used set only grows along a path, so no
+    completion passes through w, and skipping it loses no solutions.  The
+    exploration order is fully determined by config and seed, so runs cut
+    off by the node budget reproduce outcome and node count exactly; a
+    wall-clock cutoff lands wherever the clock does.
     """
     config = config or SearchConfig()
     if not config.symmetry_fixing:
@@ -322,20 +312,18 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
             "the reduced K_3^4 search always pins rows 1-2; symmetry_fixing=False is unsupported"
         )
     spec = make_graph_spec([(3, 4)])
-    vertices, index, table = _k34_successor_table()
+    succ = _k34_successors()
     n_total = spec.num_vertices
 
     rng = random.Random(config.seed)
 
-    first = index[spec.constant_vertex(1)]
-    second = index[spec.constant_vertex(2)]
-    rows: list[int] = [first, second]
-    used = (1 << first) | (1 << second)
-    prev_col = -1  # column of the last row's f_2; -1 for the all-f_2 row 2
+    rows: list[int] = [0, 40]  # the all-1 and all-2 vertices
+    used = (1 << 0) | (1 << 40)
+    step = 0  # +1 in every coordinate
+    prev_col = -1  # the column negated last; -1 before the first negation
 
-    def column_choices() -> list[tuple[int, int]]:
-        entry = table[rows[-2]][rows[-1]]
-        tail = rows[-1]
+    def column_choices() -> list[tuple[int, int, int]]:
+        entry = succ[rows[-1]][step]
         interior = len(rows) < n_total - 1
         out = []
         for col in range(4):
@@ -344,27 +332,27 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
             w = entry[col]
             if (used >> w) & 1:
                 continue
+            new_step = step ^ (1 << col)
             if interior:
-                onward = table[tail][w]
-                blocked = True
+                onward = succ[w][new_step]
                 for c2 in range(4):
                     if c2 != col and not (used >> onward[c2]) & 1:
-                        blocked = False
                         break
-                if blocked:
+                else:
                     continue  # placing w would strand the walk one row later
-            out.append((col, w))
+            out.append((col, new_step, w))
         if config.randomize:
             rng.shuffle(out)
         return out
 
-    def push(choice: tuple[int, int]) -> None:
-        nonlocal used, prev_col
-        prev_col, w = choice
+    def push(choice: tuple[int, int, int]) -> None:
+        nonlocal used, step, prev_col
+        prev_col, step, w = choice
         rows.append(w)
         used |= 1 << w
 
     def pop() -> None:
+        # step and prev_col go stale, but the driver pushes before it asks for children again
         nonlocal used
         used &= ~(1 << rows.pop())
 
@@ -373,5 +361,6 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
     )
     ordering = None
     if status is SearchStatus.FOUND:
+        vertices = tuple(enumerate_vertices(spec))
         ordering = Ordering(spec, tuple(vertices[i] for i in rows))
     return _finish(status, ordering, nodes, max_depth, elapsed)

@@ -28,7 +28,7 @@ class Ordering:
         object.__setattr__(self, "rows", rows)
         if len(rows) != self.spec.num_vertices:
             raise ShapeError(
-                f"ordering has {len(rows)} rows, spec needs {self.spec.num_vertices}"
+                f"ordering has {len(rows)} rows, spec needs {self.spec.num_vertices_text}"
             )
 
     def row(self, i: int) -> Vertex:

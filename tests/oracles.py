@@ -9,6 +9,9 @@ from __future__ import annotations
 import itertools
 import random
 
+from hamming_radio.instructions import GeneratorKind, builtin_generator
+from hamming_radio.perms import act, identity
+
 
 def oracle_distance(u, v):
     assert len(u) == len(v)
@@ -207,6 +210,28 @@ def oracle_segment_search(sizes, depth):
     if extend():
         return True, tuple(rows), None, nodes
     return False, None, deepest, nodes
+
+
+def oracle_k34_transitions():
+    """The reduced K_3^4 walk's transitions, decoded with the LRU instructions.
+
+    Maps each pair (u, v) of vertices differing in every coordinate to the
+    four rows that can follow them, one per column c = 0..3 taking the single
+    f_2.  Each column's shift-to-front arrangement is (v_j, u_j, other), f_2
+    goes to column c and f_3 to the rest, and the new row reads off the fronts.
+    """
+    iset = builtin_generator(GeneratorKind.LRU, 3).sets(identity(3))
+    f2, f3 = iset.by_subscript(2), iset.by_subscript(3)
+    vertices = list(itertools.product((1, 2, 3), repeat=4))
+    out = {}
+    for u, v in itertools.product(vertices, repeat=2):
+        if any(a == b for a, b in zip(u, v)):
+            continue
+        arrs = [(b, a, 6 - a - b) for a, b in zip(u, v)]
+        out[u, v] = tuple(
+            tuple(act(f2 if j == c else f3, arr)[0] for j, arr in enumerate(arrs)) for c in range(4)
+        )
+    return out
 
 
 def oracle_search_ordering(sizes, node_budget, seed=None, symmetry_fixing=True):

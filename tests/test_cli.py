@@ -216,6 +216,34 @@ def test_generate_parse_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+# 3^99999 has 47,712 decimal digits, past the 4,300 that str() will print, so
+# these commands used to die with a ValueError traceback and exit 1
+HUGE = "3^99999"
+
+
+def _assert_clean_input_error(result):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error:")
+    assert HUGE in result.stderr
+
+
+def test_search_huge_spec_is_an_input_error(runner):
+    _assert_clean_input_error(invoke(runner, "search", HUGE))
+
+
+def test_verify_huge_spec_is_an_input_error(runner, tmp_path):
+    doc = tmp_path / "huge.txt"
+    doc.write_text(f"spec: {HUGE}\n" + " ".join(["1"] * 99_999) + "\n")
+    _assert_clean_input_error(invoke(runner, "verify", str(doc)))
+
+
+def test_generate_huge_spec_is_an_input_error(runner, tmp_path):
+    matrix = tmp_path / "instructions.txt"
+    matrix.write_text("id\n")
+    _assert_clean_input_error(invoke(runner, "generate", HUGE, str(matrix)))
+
+
 def test_lambda_command(runner):
     result = invoke(runner, "lambda", "-n", "3", "-s", "2")
     assert result.exit_code == 0

@@ -1,21 +1,23 @@
+import ast
 import itertools
 import tracemalloc
 
 import pytest
 
+from hamming_radio import search
 from hamming_radio.errors import InvalidWitnessError, SpecError, TooLargeError
-from hamming_radio.graphs import make_graph_spec
+from hamming_radio.graphs import enumerate_vertices, make_graph_spec
 from hamming_radio.search import (
     SearchConfig,
     SearchStatus,
-    _k34_successor_table,
+    _k34_successors,
     brute_force_radio_graceful,
     search_k34_reduced,
     search_ordering,
 )
 from hamming_radio.verify import check_ordering, is_valid_ordering
 
-from .oracles import oracle_search_ordering, seeded
+from .oracles import oracle_k34_transitions, oracle_search_ordering
 
 
 def test_config_validation():
@@ -178,40 +180,79 @@ def test_brute_force_small_cases():
         brute_force_radio_graceful(make_graph_spec([(3, 4)]))
 
 
-def test_successor_table_closed_form():
-    """Each transition fixes the chosen column and moves every other
-    coordinate to the unique value differing from both predecessors."""
-    vertices, index, table = _k34_successor_table()
-    rng = seeded(401)
-    pairs = 0
-    while pairs < 200:
-        u = rng.choice(vertices)
-        v = rng.choice(vertices)
-        entry = table[index[u]][index[v]]
-        if any(a == b for a, b in zip(u, v)):
-            assert entry is None
-            continue
-        pairs += 1
-        for col in range(4):
-            w = vertices[entry[col]]
-            for j in range(4):
-                if j == col:
-                    assert w[j] == u[j]
-                else:
-                    assert w[j] == 6 - u[j] - v[j]
+def test_step_successors_match_instructions():
+    """All 5,184 transitions (u, v, column) of the step-vector table agree
+    with the shift-to-front instructions the paper builds K_3^4 from."""
+    succ = _k34_successors()
+    vertices = list(enumerate_vertices(make_graph_spec([(3, 4)])))
+    index = {v: i for i, v in enumerate(vertices)}
+    transitions = oracle_k34_transitions()
+    assert len(transitions) * 4 == 5_184
+    for (u, v), expected in transitions.items():
+        # bit j of the step v - u is set where it is -1 (mod 3) in coordinate j
+        step = sum(1 << j for j, (a, b) in enumerate(zip(u, v)) if (b - a) % 3 == 2)
+        assert tuple(vertices[w] for w in succ[index[v]][step]) == expected, (u, v)
 
 
 def test_successor_table_built_once():
-    _k34_successor_table.cache_clear()
+    _k34_successors.cache_clear()
     config = SearchConfig(node_budget=10)
     search_k34_reduced(config)
     search_k34_reduced(config)
-    assert _k34_successor_table.cache_info().misses == 1
-    vertices, index, table = _k34_successor_table()
-    with pytest.raises(TypeError):
-        table[0] = None  # shared by every search, so read-only
-    with pytest.raises(TypeError):
-        index[vertices[0]] = 1
+    assert _k34_successors.cache_info().misses == 1
+
+
+LEXICOGRAPHIC_ROWS_AT_1000 = [
+    0, 40, 26, 63, 4, 44, 18, 67, 8, 36, 22, 71, 30, 73, 14, 60, 37, 77, 15, 55, 41, 78, 10, 59, 42,
+    20, 61, 12, 29, 25, 57, 11, 34, 72, 5, 70, 48, 1, 68, 52, 9, 58, 47, 16, 75, 35, 19, 69, 50, 7,
+    65, 21,
+]
+SEED_7_ROWS_AT_1000 = [
+    0, 40, 78, 11, 34, 77, 15, 46, 5, 70, 27, 26, 66, 1, 50, 60, 13, 29, 24, 64, 30, 17, 72, 4, 53,
+    9, 61, 23, 37, 57, 25, 41, 55, 21, 43, 74, 6, 67, 45, 62, 22, 42, 2, 75, 16, 32, 63, 52, 3, 38,
+    76, 33, 10, 80, 39, 7, 65, 51, 58, 20, 69, 49,
+]
+
+
+@pytest.mark.parametrize(
+    "config,expected",
+    [({}, LEXICOGRAPHIC_ROWS_AT_1000), ({"randomize": True, "seed": 7}, SEED_7_ROWS_AT_1000)],
+)
+def test_reduced_visit_order_is_pinned(monkeypatch, config, expected):
+    """The rows (lexicographic vertex indices) on the path when the 1,000-node
+    budget runs out.  No count can tell this walk from its column mirror
+    image, which gives the same nodes and deepest row; the path can."""
+    left = []
+    real = search._depth_first
+
+    def recording(rows, *args):
+        out = real(rows, *args)
+        left.append(list(rows))
+        return out
+
+    monkeypatch.setattr(search, "_depth_first", recording)
+    outcome = search_k34_reduced(SearchConfig(node_budget=1_000, **config))
+    assert (outcome.status, outcome.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, 1_001)
+    assert left == [expected]
+
+
+def test_search_imports_no_instruction_layer():
+    """The searches work on vertices alone; the instruction layer is only
+    the tests' oracle for the reduced walk."""
+    with open(search.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "hamming_radio." if node.level else ""
+            if node.module:
+                imported.add(base + node.module)
+            else:  # from . import x
+                imported.update(base + alias.name for alias in node.names)
+    local = {name.split(".", 1)[1] for name in imported if name.startswith("hamming_radio.")}
+    assert local == {"errors", "graphs", "verify"}
 
 
 def test_reduced_search_budget_determinism():
