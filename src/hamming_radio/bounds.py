@@ -20,6 +20,8 @@ from .graphs import GraphSpec, Vertex, shared_coordinates
 from .search import SearchStatus, _depth_first
 from .verify import Ordering
 
+SEGMENT_NODE_CAP = 5_000_000  # most nodes segment_extension_search explores
+
 
 def distinct_column_count(ordering: Ordering, row: int, depth: int) -> int:
     """Number of columns whose entries in rows row..row+depth are pairwise distinct."""
@@ -169,14 +171,16 @@ class SegmentSearchResult:
     nodes_explored: int
 
 
-def _candidate_rows(sizes, prev_rows, budgets):
-    """Yield canonical next rows respecting per-previous-row shared budgets.
+def _candidate_rows(sizes, prev_rows):
+    """Yield canonical next rows that keep the window rule with prev_rows.
 
+    The row g back may share at most g - 1 coordinates with the new row for
+    g < t, the column count; rows t or more back constrain nothing.
     Canonical form: a column may repeat any value already used in it, or
     introduce the smallest unused value.  A column tied to its left neighbour
     (same size, equal values in every previous row) never takes a value below
-    the neighbour's.  Column-by-column DFS, pruning as soon as a budget is
-    exceeded.
+    the neighbour's.  Column-by-column DFS, pruning as soon as a row shares
+    too much.
     """
     t = len(sizes)
     allowed: list[list[int]] = []
@@ -191,8 +195,10 @@ def _candidate_rows(sizes, prev_rows, budgets):
         for col in range(t)
     ]
 
+    recent = prev_rows[max(0, len(prev_rows) - (t - 1)) :]
+    # shares the new row may still take with each recent row, oldest first
+    left = list(range(len(recent) - 1, -1, -1))
     row: list[int] = []
-    counts = [0] * len(prev_rows)
 
     def extend(col: int):
         if col == t:
@@ -203,11 +209,11 @@ def _candidate_rows(sizes, prev_rows, budgets):
                 continue
             bumped = []
             ok = True
-            for p, prev in enumerate(prev_rows):
+            for p, prev in enumerate(recent):
                 if prev[col] == value:
-                    counts[p] += 1
+                    left[p] -= 1
                     bumped.append(p)
-                    if budgets[p] is not None and counts[p] > budgets[p]:
+                    if left[p] < 0:
                         ok = False
                         break
             if ok:
@@ -215,14 +221,12 @@ def _candidate_rows(sizes, prev_rows, budgets):
                 yield from extend(col + 1)
                 row.pop()
             for p in bumped:
-                counts[p] -= 1
+                left[p] += 1
 
     yield from extend(0)
 
 
-def segment_extension_search(
-    spec: GraphSpec, depth: int, max_nodes: int = 5_000_000
-) -> SegmentSearchResult:
+def segment_extension_search(spec: GraphSpec, depth: int) -> SegmentSearchResult:
     """Search for depth+1 locally valid consecutive rows, up to value and
     column symmetry.
 
@@ -246,26 +250,17 @@ def segment_extension_search(
     """
     if depth < 2:
         raise SpecError(f"segment depth must be at least 2, got {depth}")
-    t = spec.diameter
     sizes = spec.column_sizes()
     rows: list[Vertex] = [spec.constant_vertex(1), spec.constant_vertex(2)]
 
-    def budgets_for(next_index: int) -> list[int | None]:
-        # prev_rows[p] is row p+1; the new row sits at next_index (1-based).
-        out: list[int | None] = []
-        for p in range(1, next_index):
-            gap = next_index - p
-            out.append(gap - 1 if gap < t else None)
-        return out
-
     def children():
-        return _candidate_rows(sizes, rows, budgets_for(len(rows) + 1))
+        return _candidate_rows(sizes, rows)
 
     status, nodes, deepest, _ = _depth_first(
-        rows, depth + 1, children, rows.append, rows.pop, max_nodes, math.inf
+        rows, depth + 1, children, rows.append, rows.pop, SEGMENT_NODE_CAP, math.inf
     )
     if status is SearchStatus.BUDGET_EXCEEDED:
-        raise TooLargeError(f"segment search exceeded {max_nodes} nodes for {spec}")
+        raise TooLargeError(f"segment search exceeded {SEGMENT_NODE_CAP} nodes for {spec}")
     if status is SearchStatus.FOUND:
         return SegmentSearchResult(
             extensible=True, witness=tuple(rows), dead_depth=None, nodes_explored=nodes

@@ -78,7 +78,7 @@ def verify(path: str, boundary: bool, show_labeling: bool, fmt: str) -> None:
         with open(path, encoding="utf-8") as fh:
             doc = parse_ordering_document(fh.read())
         ordering = doc.to_ordering()
-    except (DocumentError, OSError) as exc:
+    except (DocumentError, OSError, UnicodeDecodeError) as exc:
         _fail(2, str(exc))
     violations = check_ordering(ordering)
     boundary_violations = []
@@ -168,10 +168,10 @@ def bound(spec_string: str, fmt: str) -> None:
 @click.argument("spec_string", required=False)
 @click.option("--reduced-k34", is_flag=True, help="Use the step-vector walk for K_3^4.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--node-budget", type=int, default=None)
-@click.option("--time-budget", type=float, default=None)
-@click.option("--randomize", is_flag=True, help="Randomize candidate order (needs --seed).")
+@click.option("--seed", type=int, default=None, help="Seed of the shuffle (needs --randomize).")
+@click.option("--node-budget", type=int, default=SearchConfig.node_budget, show_default=True)
+@click.option("--time-budget", type=float, default=SearchConfig.time_budget, show_default=True)
+@click.option("--randomize", is_flag=True, help="Shuffle candidate order (needs --seed).")
 @click.option("--no-symmetry", is_flag=True, help="Do not pin the first two rows.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def search(
@@ -179,28 +179,26 @@ def search(
     reduced_k34: bool,
     out_path: str | None,
     seed: int | None,
-    node_budget: int | None,
-    time_budget: float | None,
+    node_budget: int,
+    time_budget: float,
     randomize: bool,
     no_symmetry: bool,
     fmt: str,
 ) -> None:
     """Search for a consecutive radio labeling; writes the ordering when found."""
-    kwargs = {}
-    if node_budget is not None:
-        kwargs["node_budget"] = node_budget
-    if time_budget is not None:
-        kwargs["time_budget"] = time_budget
-    if seed is not None:
-        kwargs["seed"] = seed
-    if randomize:
-        kwargs["randomize"] = True
-    if no_symmetry:
-        kwargs["symmetry_fixing"] = False
     try:
-        config = SearchConfig(**kwargs)
+        config = SearchConfig(
+            node_budget=node_budget,
+            time_budget=time_budget,
+            seed=seed,
+            symmetry_fixing=not no_symmetry,
+        )
     except RadioGraphError as exc:
         _fail(2, str(exc))
+    if randomize and seed is None:
+        _fail(2, "randomized candidate order needs a seed")
+    if seed is not None and not randomize:
+        _fail(2, "--seed only applies with --randomize")
 
     spec = None
     if spec_string:
@@ -267,7 +265,7 @@ def generate(spec_string: str, instructions_path: str, kind: str, out_path: str 
         )
         with open(instructions_path, encoding="utf-8") as fh:
             og = parse_instruction_rows(fh.read(), spec, generators)
-    except (DocumentError, RadioGraphError, OSError) as exc:
+    except (DocumentError, RadioGraphError, OSError, UnicodeDecodeError) as exc:
         _fail(2, str(exc))
     ordering = materialize(og)
     violations = check_ordering(ordering)

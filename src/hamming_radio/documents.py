@@ -40,7 +40,7 @@ def parse_spec_string(text: str) -> GraphSpec:
 
 
 def format_spec_string(spec: GraphSpec) -> str:
-    return " x ".join(f"{f.size}^{f.copies}" for f in spec.factors)
+    return str(spec)
 
 
 @dataclass

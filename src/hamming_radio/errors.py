@@ -30,7 +30,7 @@ class UnsupportedSizeError(RadioGraphError, ValueError):
 
 
 class TooLargeError(RadioGraphError):
-    """The requested enumeration exceeds the configured size budget."""
+    """The requested enumeration exceeds its size cap."""
 
 
 class BudgetExceededError(RadioGraphError):

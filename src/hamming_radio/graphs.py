@@ -37,6 +37,10 @@ class GraphSpec:
 
     factors: tuple[Factor, ...]
 
+    def __str__(self) -> str:
+        """The spec-string form, e.g. '3^4 x 4^7'."""
+        return " x ".join(f"{f.size}^{f.copies}" for f in self.factors)
+
     def __post_init__(self) -> None:
         factors = tuple(
             f if isinstance(f, Factor) else Factor(int(f[0]), int(f[1]))
@@ -67,7 +71,7 @@ class GraphSpec:
         """num_vertices for messages; past 30 digits the product of factor
         powers, since str() refuses an integer of more than 4,300 digits."""
         n = self.num_vertices
-        return str(n) if n < 10**30 else " x ".join(f"{f.size}^{f.copies}" for f in self.factors)
+        return str(n) if n < 10**30 else str(self)
 
     @property
     def cumulative_widths(self) -> tuple[int, ...]:

@@ -30,6 +30,8 @@ from .graphs import GraphSpec
 from .perms import Permutation, act, identity
 from .verify import Ordering, RadioViolation, repetition_violations
 
+ENUMERATION_CAP = 1 << 20  # most runs or columns an enumeration builds
+
 
 @dataclass(frozen=True)
 class InstructionSet:
@@ -259,29 +261,29 @@ def _walks(
 
 
 def enumerate_fixing_runs(
-    gen: InstructionGenerator, length: int, max_runs: int = 1 << 20
+    gen: InstructionGenerator, length: int
 ) -> frozenset[tuple[Permutation, ...]]:
     """All legal runs of `length` instructions starting at row 2 whose
     composition fixes 1.  A value column repeats at gap s exactly where its
     trailing run of s instructions lands in this set."""
     if length < 1:
         raise ShapeError(f"run length must be >= 1, got {length}")
-    if (gen.n - 1) ** length > max_runs:
+    if (gen.n - 1) ** length > ENUMERATION_CAP:
         raise BudgetExceededError(
-            f"{(gen.n - 1) ** length} candidate runs exceed the cap of {max_runs}"
+            f"{(gen.n - 1) ** length} candidate runs exceed the cap of {ENUMERATION_CAP}"
         )
     return frozenset(filter(run_fixes_one, _walks(gen, identity(gen.n), length)))
 
 
 def enumerate_instruction_columns(
-    gen: InstructionGenerator, length: int, max_columns: int = 1 << 20
+    gen: InstructionGenerator, length: int
 ) -> list[tuple[Permutation, ...]]:
     """Every legal instruction column of the given length, (n-1)**(length-2) total."""
     if length < 2:
         raise ShapeError(f"column length must be >= 2, got {length}")
-    if (gen.n - 1) ** (length - 2) > max_columns:
+    if (gen.n - 1) ** (length - 2) > ENUMERATION_CAP:
         raise BudgetExceededError(
-            f"{(gen.n - 1) ** (length - 2)} columns exceed the cap of {max_columns}"
+            f"{(gen.n - 1) ** (length - 2)} columns exceed the cap of {ENUMERATION_CAP}"
         )
     head = (identity(gen.n), gen.sets(identity(gen.n)).by_subscript(2))
     return [head + walk for walk in _walks(gen, head[1], length - 2)]

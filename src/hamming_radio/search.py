@@ -31,24 +31,25 @@ from .errors import InvalidWitnessError, SpecError, TooLargeError
 from .graphs import GraphSpec, Vertex, enumerate_vertices, make_graph_spec
 from .verify import Ordering, check_ordering, is_valid_ordering
 
-DEFAULT_ENUMERATION_CAP = 1_000_000
+DEFAULT_ENUMERATION_CAP = 1_000_000  # most vertices search_ordering enumerates
+BRUTE_FORCE_CAP = 9  # most vertices brute_force_radio_graceful permutes
 
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Budgets and order of a search.  seed None keeps candidate order; an
+    int shuffles it with random.Random(seed)."""
+
     node_budget: int = 50_000_000
     time_budget: float = 60.0
     seed: int | None = None
     symmetry_fixing: bool = True
-    randomize: bool = False
 
     def __post_init__(self) -> None:
         if self.node_budget < 1:
             raise SpecError("node_budget must be positive")
         if not (math.isfinite(self.time_budget) and self.time_budget > 0):
             raise SpecError(f"time_budget must be positive and finite, got {self.time_budget}")
-        if self.randomize and self.seed is None:
-            raise SpecError("randomized candidate order needs a seed")
 
 
 class SearchStatus(Enum):
@@ -138,11 +139,7 @@ def _column_masks(candidates: list[Vertex], sizes: tuple[int, ...]) -> list[list
     return masks
 
 
-def search_ordering(
-    spec: GraphSpec,
-    config: SearchConfig | None = None,
-    max_vertices: int = DEFAULT_ENUMERATION_CAP,
-) -> SearchOutcome:
+def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> SearchOutcome:
     """Depth-first search for a full valid ordering of the given graph.
 
     With symmetry_fixing the first two rows are pinned to the all-1 and all-2
@@ -166,12 +163,12 @@ def search_ordering(
     """
     config = config or SearchConfig()
     n_total = spec.num_vertices
-    if n_total > max_vertices:
+    if n_total > DEFAULT_ENUMERATION_CAP:
         raise TooLargeError(
-            f"{spec.num_vertices_text} vertices exceed the enumeration cap {max_vertices}"
+            f"{spec.num_vertices_text} vertices exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
     candidates = list(enumerate_vertices(spec))
-    if config.randomize:
+    if config.seed is not None:
         random.Random(config.seed).shuffle(candidates)
     t = spec.diameter
     column_masks = _column_masks(candidates, spec.column_sizes())
@@ -250,13 +247,13 @@ class BruteForceResult:
     witness: Ordering | None
 
 
-def brute_force_radio_graceful(spec: GraphSpec, max_vertices: int = 9) -> BruteForceResult:
+def brute_force_radio_graceful(spec: GraphSpec) -> BruteForceResult:
     """Ground-truth oracle: try every ordering with the first two rows pinned,
     checking each with the verifier."""
     n_total = spec.num_vertices
-    if n_total > max_vertices:
+    if n_total > BRUTE_FORCE_CAP:
         raise TooLargeError(
-            f"{spec.num_vertices_text} vertices exceed the brute-force cap {max_vertices}"
+            f"{spec.num_vertices_text} vertices exceed the brute-force cap {BRUTE_FORCE_CAP}"
         )
     first = spec.constant_vertex(1)
     second = spec.constant_vertex(2)
@@ -341,7 +338,7 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
                 else:
                     continue  # placing w would strand the walk one row later
             out.append((col, new_step, w))
-        if config.randomize:
+        if config.seed is not None:
             rng.shuffle(out)
         return out
 

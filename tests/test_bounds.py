@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from hamming_radio import bounds
 from hamming_radio.bounds import (
     BoundaryViolation,
     Gracefulness,
@@ -166,9 +167,10 @@ def test_segment_search_dead_for_k3_5():
     assert result.dead_depth == 3
 
 
-def test_segment_search_node_cap():
-    with pytest.raises(TooLargeError):
-        segment_extension_search(make_graph_spec([(3, 5)]), depth=3, max_nodes=1)
+def test_segment_search_node_cap(monkeypatch):
+    monkeypatch.setattr(bounds, "SEGMENT_NODE_CAP", 1)
+    with pytest.raises(TooLargeError, match=r"exceeded 1 nodes for 3\^5$"):
+        segment_extension_search(make_graph_spec([(3, 5)]), depth=3)
 
 
 def test_segment_search_extensible_proves_nothing():
@@ -190,8 +192,8 @@ def test_segment_search_extensible_proves_nothing():
     ],
 )
 def test_candidate_rows_tie_rule(sizes, prev_rows, expected):
-    budgets = [None] * (len(prev_rows) - 1) + [0]
-    assert list(_candidate_rows(sizes, prev_rows, budgets)) == expected
+    # two columns: only the last row constrains, and it may share nothing
+    assert list(_candidate_rows(sizes, prev_rows)) == expected
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,10 @@ def test_search_budget_exit_code(runner):
 def test_search_input_errors(runner):
     assert invoke(runner, "search").exit_code == 2
     assert invoke(runner, "search", "3^2", "--randomize").exit_code == 2
+    # a seed without --randomize used to be ignored silently
+    result = invoke(runner, "search", "3^2", "--seed", "5")
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:")
     assert invoke(runner, "search", "3^2", "--reduced-k34").exit_code == 2
     assert invoke(runner, "search", "bogus").exit_code == 2
     # the reduced search always pins rows 1-2, so it cannot honour --no-symmetry
@@ -166,8 +170,9 @@ def test_search_rejects_non_finite_time_budget(runner, budget):
 
 
 def test_search_randomized_with_seed(runner):
-    result = invoke(runner, "search", "3^2", "--randomize", "--seed", "5")
+    result = invoke(runner, "search", "3^3", "--randomize", "--seed", "42")
     assert result.exit_code == 0
+    assert result.stderr.splitlines()[0] == "status: found (nodes 170, deepest row 27)"
 
 
 def test_generate_round_trip(runner, tmp_path, golden_k34):
@@ -214,6 +219,23 @@ def test_generate_parse_error(runner, tmp_path):
     matrix.write_text("id\nf2\nbogus\n")
     result = invoke(runner, "generate", "3^1", str(matrix))
     assert result.exit_code == 2
+
+
+def test_verify_non_utf8_is_an_input_error(runner, tmp_path):
+    # byte 0xff used to raise UnicodeDecodeError and exit 1, "violations found"
+    doc = tmp_path / "doc.txt"
+    doc.write_bytes(b"spec: 3^1\n1\n\xff\n")
+    result = invoke(runner, "verify", str(doc))
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:")
+
+
+def test_generate_non_utf8_is_an_input_error(runner, tmp_path):
+    matrix = tmp_path / "instructions.txt"
+    matrix.write_bytes(b"id\nf2\n\xff\n")
+    result = invoke(runner, "generate", "3^1", str(matrix))
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:")
 
 
 # 3^99999 has 47,712 decimal digits, past the 4,300 that str() will print, so

@@ -230,7 +230,8 @@ def test_column_enumeration_budget_and_shape():
     with pytest.raises(ShapeError):
         enumerate_instruction_columns(gen, 1)
     with pytest.raises(BudgetExceededError):
-        enumerate_instruction_columns(gen, 6, max_columns=15)
+        # 2^21 columns, past ENUMERATION_CAP
+        enumerate_instruction_columns(gen, 23)
 
 
 def test_repetition_run_equivalence_exhaustive():

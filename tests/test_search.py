@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -27,9 +28,6 @@ def test_config_validation():
         with pytest.raises(SpecError):
             SearchConfig(time_budget=budget)
     with pytest.raises(SpecError):
-        SearchConfig(randomize=True)
-    SearchConfig(randomize=True, seed=1)
-    with pytest.raises(SpecError):
         search_k34_reduced(SearchConfig(symmetry_fixing=False))
 
 
@@ -45,7 +43,7 @@ def test_search_finds_k3_2():
 def test_found_ordering_is_checked_without_assert(monkeypatch):
     # an explicit check, so it survives python -O
     monkeypatch.setattr("hamming_radio.search.is_valid_ordering", lambda ordering: False)
-    with pytest.raises(InvalidWitnessError):
+    with pytest.raises(InvalidWitnessError, match=r"ordering of 3\^2$"):
         search_ordering(make_graph_spec([(3, 2)]))
 
 
@@ -65,7 +63,8 @@ def test_search_without_symmetry_agrees():
 
 def test_search_vertex_cap():
     with pytest.raises(TooLargeError):
-        search_ordering(make_graph_spec([(3, 4)]), max_vertices=80)
+        # 1,594,323 vertices, past DEFAULT_ENUMERATION_CAP
+        search_ordering(make_graph_spec([(3, 13)]))
 
 
 def test_search_node_budget_is_exact():
@@ -92,11 +91,11 @@ def test_search_node_budget_is_exact():
         ([(4, 2)], {}, ("found", 78, 16)),
         ([(5, 2)], {}, ("found", 1_403, 25)),
         ([(4, 3)], {"node_budget": 20_000}, ("budget exceeded", 20_001, 59)),
-        ([(3, 3)], {"randomize": True, "seed": 42}, ("found", 170, 27)),
-        ([(3, 3)], {"randomize": True, "seed": 5}, ("found", 398, 27)),
+        ([(3, 3)], {"seed": 42}, ("found", 170, 27)),
+        ([(3, 3)], {"seed": 5}, ("found", 398, 27)),
         # factors None: the reduced 3^4 search
         (None, {"node_budget": 200_000}, ("budget exceeded", 200_001, 76)),
-        (None, {"node_budget": 50_000, "randomize": True, "seed": 7}, ("budget exceeded", 50_001, 73)),
+        (None, {"node_budget": 50_000, "seed": 7}, ("budget exceeded", 50_001, 73)),
         # 4,096 vertices: the former per-candidate scan took about 40 s for this row on a 2-core VM
         ([(4, 6)], {"node_budget": 20_000}, ("budget exceeded", 20_001, 3_409)),
     ],
@@ -109,6 +108,31 @@ def test_search_counts_are_pinned(factors, config, expected):
     else:
         outcome = search_ordering(make_graph_spec(factors), config)
     assert (outcome.status.value, outcome.nodes_explored, outcome.max_depth_reached) == expected
+
+
+# per field: the product, the base config and a value that must change the outcome
+FIELD_CASES = {
+    "node_budget": ([(3, 2)], {}, 5),
+    "time_budget": ([(4, 6)], {"node_budget": 5_000}, 1e-9),  # stops at the 1,024-node check
+    "seed": ([(3, 3)], {}, 42),
+    "symmetry_fixing": ([(3, 2)], {}, False),
+}
+
+
+def test_every_config_field_is_read():
+    """Changing any one field of SearchConfig changes the outcome, so no
+    setting goes unread."""
+    assert set(FIELD_CASES) == {field.name for field in dataclasses.fields(SearchConfig)}
+    for name, (factors, kwargs, value) in FIELD_CASES.items():
+        spec = make_graph_spec(factors)
+        base = SearchConfig(**kwargs)
+        changed = dataclasses.replace(base, **{name: value})
+        a, b = (search_ordering(spec, config) for config in (base, changed))
+        assert (a.status, a.nodes_explored, a.max_depth_reached) != (
+            b.status,
+            b.nodes_explored,
+            b.max_depth_reached,
+        ), name
 
 
 def _small_products(max_vertices):
@@ -134,9 +158,7 @@ def test_search_matches_scan_oracle(factors):
     one_seed = ORACLE_SPECS.index(factors) % 10
     runs = [(50, seed) for seed in (None, *range(10))] + [(1000, None), (1000, one_seed)]
     for (budget, seed), symmetry in itertools.product(runs, (True, False)):
-        config = SearchConfig(
-            node_budget=budget, seed=seed, randomize=seed is not None, symmetry_fixing=symmetry
-        )
+        config = SearchConfig(node_budget=budget, seed=seed, symmetry_fixing=symmetry)
         outcome = search_ordering(spec, config)
         rows = outcome.ordering.rows if outcome.ordering else None
         got = (outcome.status.value, outcome.nodes_explored, outcome.max_depth_reached, rows)
@@ -161,7 +183,7 @@ def test_generic_search_memory_is_flat(factors, budget):
 
 def test_randomized_search_reproducible():
     spec = make_graph_spec([(3, 2)])
-    config = SearchConfig(randomize=True, seed=42)
+    config = SearchConfig(seed=42)
     a = search_ordering(spec, config)
     b = search_ordering(spec, config)
     assert a.status is SearchStatus.FOUND
@@ -216,7 +238,7 @@ SEED_7_ROWS_AT_1000 = [
 
 @pytest.mark.parametrize(
     "config,expected",
-    [({}, LEXICOGRAPHIC_ROWS_AT_1000), ({"randomize": True, "seed": 7}, SEED_7_ROWS_AT_1000)],
+    [({}, LEXICOGRAPHIC_ROWS_AT_1000), ({"seed": 7}, SEED_7_ROWS_AT_1000)],
 )
 def test_reduced_visit_order_is_pinned(monkeypatch, config, expected):
     """The rows (lexicographic vertex indices) on the path when the 1,000-node
@@ -266,7 +288,7 @@ def test_reduced_search_budget_determinism():
 
 
 def test_reduced_search_randomized_reproducible():
-    config = SearchConfig(node_budget=50_000, randomize=True, seed=7)
+    config = SearchConfig(node_budget=50_000, seed=7)
     a = search_k34_reduced(config)
     b = search_k34_reduced(config)
     assert (a.status, a.nodes_explored, a.max_depth_reached) == (
