@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NotAtBoundaryError, ShapeError, SpecError, TooLargeError
-from .graphs import GraphSpec, Vertex, shared_coordinates
+from .graphs import GraphSpec, Vertex
 from .search import SearchStatus, _depth_first
-from .verify import Ordering
+from .verify import Ordering, _window_shares
 
 SEGMENT_NODE_CAP = 5_000_000  # most nodes segment_extension_search explores
 
@@ -131,8 +131,8 @@ def boundary_structure_check(ordering: Ordering) -> list[BoundaryViolation]:
     Applies when some factor of size n has cumulative width exactly
     n(n^2 - 1)/6; then every pair of rows at gap j <= n must share exactly
     j - 1 coordinates.  Raises NotAtBoundaryError when no factor qualifies.
-    This is an equality rule over gaps up to n, not the at-most rule of
-    verify.check_ordering, so it keeps its own window loop.
+    The pairs come from verify's window kernel, to the depth of the largest
+    such n; violations are sorted by their earlier row, then gap.
     """
     spec = ordering.spec
     boundary_sizes = [
@@ -144,15 +144,12 @@ def boundary_structure_check(ordering: Ordering) -> list[BoundaryViolation]:
         raise NotAtBoundaryError(
             "no factor sits at its forced-structure boundary; nothing to check"
         )
-    max_gap = max(boundary_sizes)
-    rows = ordering.rows
-    out: list[BoundaryViolation] = []
-    for i in range(1, len(rows) + 1):
-        for gap in range(1, min(max_gap, len(rows) - i) + 1):
-            shared = shared_coordinates(rows[i - 1], rows[i + gap - 1])
-            if shared != gap - 1:
-                out.append(BoundaryViolation(row=i, gap=gap, shared=shared))
-    return out
+    return sorted(
+        BoundaryViolation(row=i - gap, gap=gap, shared=shared)
+        for i, shares in _window_shares(ordering.rows, max(boundary_sizes))
+        for gap, shared in enumerate(shares, start=1)
+        if shared != gap - 1
+    )
 
 
 @dataclass(frozen=True)
@@ -180,7 +177,7 @@ def _candidate_rows(sizes, prev_rows):
     introduce the smallest unused value.  A column tied to its left neighbour
     (same size, equal values in every previous row) never takes a value below
     the neighbour's.  Column-by-column DFS, pruning as soon as a row shares
-    too much.
+    too much, before the row is whole, so verify's window kernel cannot serve.
     """
     t = len(sizes)
     allowed: list[list[int]] = []

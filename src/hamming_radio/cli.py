@@ -15,7 +15,6 @@ import click
 from .bounds import Gracefulness, bound_verdict, boundary_structure_check
 from .documents import (
     OrderingDocument,
-    format_spec_string,
     parse_instruction_rows,
     parse_ordering_document,
     parse_spec_string,
@@ -52,6 +51,19 @@ _KIND_CHOICE = click.Choice([kind.value for kind in GeneratorKind])
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _emit(doc: OrderingDocument, fmt: str, out_path: str | None) -> None:
+    """Print an ordering document, or write it to --out; an unwritable path exits 2."""
+    text = serialize_ordering_json(doc) if fmt == "json" else serialize_ordering_text(doc)
+    if not out_path:
+        click.echo(text, nl=False)
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _fail(2, f"cannot write {out_path}: {exc.strerror or exc}")
 
 
 def _violation_entry(v) -> dict:
@@ -99,7 +111,7 @@ def verify(path: str, boundary: bool, show_labeling: bool, fmt: str) -> None:
     if fmt == "json":
         payload = {
             "ok": ok,
-            "spec": format_spec_string(ordering.spec),
+            "spec": str(ordering.spec),
             "violations": [_violation_entry(v) for v in violations],
         }
         if boundary:
@@ -108,10 +120,9 @@ def verify(path: str, boundary: bool, show_labeling: bool, fmt: str) -> None:
             payload["labels"] = labels
         click.echo(json.dumps(payload, indent=2))
     else:
-        spec_name = format_spec_string(ordering.spec)
         if ok:
             click.echo(
-                f"ok: {len(ordering.rows)} rows over {spec_name} induce a "
+                f"ok: {len(ordering.rows)} rows over {ordering.spec} induce a "
                 f"consecutive radio labeling"
             )
             if boundary:
@@ -140,7 +151,7 @@ def bound(spec_string: str, fmt: str) -> None:
     verdict = bound_verdict(spec)
     if fmt == "json":
         payload = {
-            "spec": format_spec_string(spec),
+            "spec": str(spec),
             "overall": verdict.overall.name,
             "factors": [
                 {
@@ -230,14 +241,9 @@ def search(
     rate = f" ({outcome.nodes_explored / elapsed:,.0f} nodes/s)" if elapsed > 0 else ""
     click.echo(f"elapsed {elapsed:.2f} s{rate}", err=True)
     if outcome.status is SearchStatus.FOUND:
-        doc = OrderingDocument.from_ordering(outcome.ordering)
-        text = serialize_ordering_json(doc) if fmt == "json" else serialize_ordering_text(doc)
+        _emit(OrderingDocument.from_ordering(outcome.ordering), fmt, out_path)
         if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
             click.echo(f"wrote {out_path}", err=True)
-        else:
-            click.echo(text, nl=False)
         sys.exit(0)
     if outcome.status is SearchStatus.EXHAUSTED_NO_SOLUTION:
         click.echo("search space exhausted: no consecutive radio labeling exists", err=True)
@@ -269,13 +275,7 @@ def generate(spec_string: str, instructions_path: str, kind: str, out_path: str 
         _fail(2, str(exc))
     ordering = materialize(og)
     violations = check_ordering(ordering)
-    doc = OrderingDocument.from_ordering(ordering, {"generator_kind": kind})
-    text = serialize_ordering_json(doc) if fmt == "json" else serialize_ordering_text(doc)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(OrderingDocument.from_ordering(ordering, {"generator_kind": kind}), fmt, out_path)
     for v in violations:
         click.echo(f"violation: {v}", err=True)
     if violations:

@@ -39,10 +39,6 @@ def parse_spec_string(text: str) -> GraphSpec:
         raise DocumentError(str(exc)) from exc
 
 
-def format_spec_string(spec: GraphSpec) -> str:
-    return str(spec)
-
-
 @dataclass
 class OrderingDocument:
     spec: GraphSpec
@@ -75,7 +71,7 @@ def parse_ordering_text(text: str) -> OrderingDocument:
 
 
 def serialize_ordering_text(doc: OrderingDocument) -> str:
-    lines = [f"spec: {format_spec_string(doc.spec)}"]
+    lines = [f"spec: {doc.spec}"]
     lines.extend(" ".join(str(c) for c in row) for row in doc.rows)
     return "\n".join(lines) + "\n"
 

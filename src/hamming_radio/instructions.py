@@ -97,7 +97,7 @@ class InstructionGenerator:
 
     The transposition, lru and ltu kinds offer the same set at every row; the
     history kind reads which slot the previous instruction brought to the
-    front.
+    front.  A set holds n(n - 1) images, which may not exceed ENUMERATION_CAP.
     """
 
     kind: GeneratorKind
@@ -107,6 +107,8 @@ class InstructionGenerator:
         object.__setattr__(self, "kind", GeneratorKind(self.kind))
         if self.n < 3:
             raise UnsupportedSizeError(f"instruction machinery needs n >= 3, got {self.n}")
+        if self.n * (self.n - 1) > ENUMERATION_CAP:
+            raise UnsupportedSizeError(f"n(n - 1) for n={self.n} exceeds the cap of {ENUMERATION_CAP}")
 
     def sets(self, previous: Permutation) -> InstructionSet:
         """The set offered after the instruction `previous`; for row 2,

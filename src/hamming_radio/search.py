@@ -6,7 +6,8 @@ proof that no consecutive radio labeling exists.  It applies the rule to all
 candidates at once as bitsets: per-column value masks, built in one pass over
 the candidate list, give each recent row the set of candidates sharing k or
 more coordinates with it, and a level's children are the bits left over.
-Only the last rows' masks are kept, so memory does not grow with depth.
+Only the last rows' masks are kept, so memory does not grow with depth, and
+all candidates meet a row at once, which verify's window kernel cannot do.
 search_k34_reduced searches K_3^4 as a walk over step vectors in Z_3^4: each
 step is +-1 in every coordinate and negates one coordinate of the step
 before it, so a row is three choices at most and only repetition needs
@@ -33,6 +34,7 @@ from .verify import Ordering, check_ordering, is_valid_ordering
 
 DEFAULT_ENUMERATION_CAP = 1_000_000  # most vertices search_ordering enumerates
 BRUTE_FORCE_CAP = 9  # most vertices brute_force_radio_graceful permutes
+MASK_BIT_CAP = 1 << 25  # most column-mask bits (N x summed sizes) search_ordering builds
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,8 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
     keeps only its resume position and re-reads the admissible set when it
     resumes, and a pop that leaves fewer than t - 1 rows in the window
     recomputes the masks of the one row that re-enters it.  The extra row
-    makes a dead end's push and pop cost no recompute.
+    makes a dead end's push and pop cost no recompute.  The masks are built
+    outside time_budget, so more than MASK_BIT_CAP mask bits raise TooLargeError.
     """
     config = config or SearchConfig()
     n_total = spec.num_vertices
@@ -167,6 +170,8 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
         raise TooLargeError(
             f"{spec.num_vertices_text} vertices exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
+    if n_total * sum(spec.column_sizes()) > MASK_BIT_CAP:
+        raise TooLargeError(f"the column masks of {spec} exceed the cap of {MASK_BIT_CAP} bits")
     candidates = list(enumerate_vertices(spec))
     if config.seed is not None:
         random.Random(config.seed).shuffle(candidates)

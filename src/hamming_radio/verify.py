@@ -4,11 +4,16 @@ An ordering lists vertices as rows v^1..v^N.  Labeling row i with the number i
 is a consecutive radio labeling exactly when no two rows repeat and, for every
 gap k below the diameter, rows i and i-k share at most k-1 coordinates.  All
 row and column indices in this module are 1-based to match that convention.
+One kernel, _window_shares, counts the coordinates each row shares with the
+rows just above it; check_ordering, bounds.boundary_structure_check and the
+greedy induced_labeling read only those counts, within t - 1 rows or fewer.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import eq
 
 from .errors import RepetitionError, ShapeError
 from .graphs import GraphSpec, Vertex, shared_coordinates
@@ -97,12 +102,18 @@ def repetition_violations(rows: tuple[Vertex, ...]) -> list[RepetitionViolation]
     seen: dict[Vertex, list[int]] = {}
     for i, v in enumerate(rows, start=1):
         seen.setdefault(v, []).append(i)
-    out: list[RepetitionViolation] = []
-    for positions in seen.values():
-        for a_idx in range(len(positions)):
-            for b_idx in range(a_idx + 1, len(positions)):
-                out.append(RepetitionViolation(positions[a_idx], positions[b_idx]))
-    return out
+    return [
+        RepetitionViolation(a, b)
+        for positions in seen.values()
+        for a, b in itertools.combinations(positions, 2)
+    ]
+
+
+def _window_shares(rows: tuple[Vertex, ...], depth: int):
+    """Yield each row i >= 2 and its shares with rows i-1, ..., i-min(depth, i-1)."""
+    for i in range(1, len(rows)):
+        v = rows[i]
+        yield i + 1, [sum(map(eq, v, rows[i - k])) for k in range(1, min(depth, i) + 1)]
 
 
 def check_ordering(ordering: Ordering) -> list:
@@ -111,16 +122,12 @@ def check_ordering(ordering: Ordering) -> list:
     Empty result means the ordering induces a consecutive radio labeling
     (row number = label).
     """
-    t = ordering.spec.diameter
-    rows = ordering.rows
-    out: list = []
-    for i in range(2, len(rows) + 1):
-        for k in range(1, min(t - 1, i - 1) + 1):
-            shared = shared_coordinates(rows[i - 1], rows[i - k - 1])
-            if shared >= k:
-                out.append(RadioViolation(row=i, gap=k, shared=shared))
-    out.extend(repetition_violations(rows))
-    return out
+    return [
+        RadioViolation(row=i, gap=k, shared=shared)
+        for i, shares in _window_shares(ordering.rows, ordering.spec.diameter - 1)
+        for k, shared in enumerate(shares, start=1)
+        if shared >= k
+    ] + repetition_violations(ordering.rows)
 
 
 def is_valid_ordering(ordering: Ordering) -> bool:
@@ -128,33 +135,26 @@ def is_valid_ordering(ordering: Ordering) -> bool:
     return not check_ordering(ordering)
 
 
-def _minimal_label(lower: int, intervals: list[tuple[int, int]]) -> int:
-    """Smallest x >= lower avoiding every open interval (lo, hi)."""
-    x = lower
-    for lo, hi in sorted(intervals):
-        if lo < x < hi:
-            x = hi
-    return x
-
-
 def induced_labeling(ordering: Ordering) -> Labeling:
     """Greedy labeling: row 1 gets 1, each later row gets the least label above
-    the previous one that keeps every earlier pair radio-compatible."""
+    the previous one that keeps every earlier pair radio-compatible.
+
+    Pairs need |f(u) - f(v)| >= t + 1 - d(u, v) = shared + 1, so row i takes
+    max(label_{i-1} + 1, label_{i-k} + shared + 1 over k).  Labels rise by at
+    least 1 per row and distinct rows share at most t - 1 coordinates, so for
+    k >= t that bound is at most label_{i-k} + t <= label_{i-1} + 1: the
+    window to depth t - 1 is exact.
+    """
     rows = ordering.rows
     if len(set(rows)) != len(rows):
-        dup = next(v for v in rows if rows.count(v) > 1)
+        dup = rows[repetition_violations(rows)[0].row_a - 1]
         raise RepetitionError(f"vertex {dup} appears more than once")
-    labels: list[int] = []
-    for i, v in enumerate(rows):
-        if i == 0:
-            labels.append(1)
-            continue
-        intervals = []
-        for j in range(i):
-            # |x - f(v^j)| >= t + 1 - d(v, v^j), and t + 1 - d = shared + 1
-            margin = shared_coordinates(v, rows[j]) + 1
-            intervals.append((labels[j] - margin, labels[j] + margin))
-        labels.append(_minimal_label(labels[-1] + 1, intervals))
+    labels = [1]
+    for _, shares in _window_shares(rows, ordering.spec.diameter - 1):
+        label = labels[-1] + 1
+        for k, shared in enumerate(shares, start=1):
+            label = max(label, labels[-k] + shared + 1)
+        labels.append(label)
     return Labeling(ordering.spec, dict(zip(rows, labels)))
 
 
@@ -176,19 +176,17 @@ def is_consecutive(labeling: Labeling) -> bool:
 def verify_radio(labeling: Labeling) -> list[RadioViolation]:
     """Independent all-pairs check of |f(u) - f(v)| >= diameter + 1 - d(u, v).
 
-    Violations are reported against the larger label: gap = label difference,
-    shared = shared coordinate count.
+    It reads every pair of labels, not a window of rows, so it also covers
+    labelings that are not consecutive and stays apart from _window_shares
+    as its cross-check.  Violations are reported against the larger label:
+    gap = label difference, shared = shared coordinate count.
     """
-    t = labeling.spec.diameter
     items = sorted(labeling.assignment.items(), key=lambda kv: kv[1])
     out: list[RadioViolation] = []
-    for a in range(len(items)):
-        u, fu = items[a]
-        for b in range(a + 1, len(items)):
-            v, fv = items[b]
-            shared = shared_coordinates(u, v)
-            if fv - fu < shared + 1:
-                out.append(RadioViolation(row=fv, gap=fv - fu, shared=shared))
+    for (u, fu), (v, fv) in itertools.combinations(items, 2):
+        shared = shared_coordinates(u, v)
+        if fv - fu < shared + 1:
+            out.append(RadioViolation(row=fv, gap=fv - fu, shared=shared))
     return out
 
 

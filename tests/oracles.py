@@ -41,12 +41,15 @@ def oracle_pairwise_violations(diameter, labeled):
     return out
 
 
-def oracle_minimal_label(lower, forbidden):
-    """Smallest integer >= lower avoiding every open interval in forbidden."""
-    label = lower
-    while any(a < label < b for a, b in forbidden):
-        label += 1
-    return label
+def oracle_boundary_violations(rows, max_gap):
+    """(row, gap, shared) for every pair of rows at gap <= max_gap that does
+    not share exactly gap - 1 coordinates, by row then gap."""
+    return [
+        (i, gap, oracle_shared(rows[i - 1], rows[i + gap - 1]))
+        for i in range(1, len(rows) + 1)
+        for gap in range(1, min(max_gap, len(rows) - i) + 1)
+        if oracle_shared(rows[i - 1], rows[i + gap - 1]) != gap - 1
+    ]
 
 
 def oracle_greedy_labels(diameter, rows):

@@ -19,6 +19,7 @@ from hamming_radio.graphs import make_graph_spec, shared_coordinates
 from hamming_radio.verify import Ordering
 
 from .oracles import (
+    oracle_boundary_violations,
     oracle_distinct_columns,
     oracle_segment_search,
     oracle_shared,
@@ -139,6 +140,16 @@ def test_boundary_structure_flags_broken_rows(golden_k34):
         assert real == v.shared
         assert v.shared != v.gap - 1
         assert str(v).startswith(f"rows {v.row} and {v.row + v.gap}")
+
+    # the full list, in order, against the definition on seeded shuffles
+    rng = seeded(131)
+    for swaps in (1, 3, 10, 200):
+        rows = list(golden_k34.rows)
+        for _ in range(swaps):
+            a, b = rng.randrange(len(rows)), rng.randrange(len(rows))
+            rows[a], rows[b] = rows[b], rows[a]
+        got = boundary_structure_check(Ordering(golden_k34.spec, tuple(rows)))
+        assert [(v.row, v.gap, v.shared) for v in got] == oracle_boundary_violations(rows, 3)
 
 
 def test_segment_search_rejects_trivial_depth():

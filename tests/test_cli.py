@@ -118,6 +118,17 @@ def test_search_finds_and_writes(runner, tmp_path):
     assert check_ordering(parse_ordering_text(out.read_text()).to_ordering()) == []
 
 
+def test_search_unwritable_out_is_an_input_error(runner, tmp_path):
+    out = tmp_path / "missing" / "found.txt"
+    result = invoke(runner, "search", "3^2", "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    status, elapsed, error = result.stderr.splitlines()
+    assert status.startswith("status: found")
+    assert error.startswith(f"error: cannot write {out}")
+    assert not out.exists()
+
+
 def test_search_reports_elapsed_time(runner):
     result = invoke(runner, "search", "3^3")
     assert result.exit_code == 0
@@ -214,6 +225,17 @@ def test_generate_reports_violations(runner, tmp_path):
     assert "violation" in result.stderr
 
 
+def test_generate_unwritable_out_is_an_input_error(runner, tmp_path):
+    matrix = tmp_path / "instructions.txt"
+    matrix.write_text("id\nf2\nf3\n")
+    out = tmp_path / "missing" / "ordering.txt"
+    result = invoke(runner, "generate", "3^1", str(matrix), "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: cannot write {out}")
+    assert result.stdout == ""
+
+
 def test_generate_parse_error(runner, tmp_path):
     matrix = tmp_path / "instructions.txt"
     matrix.write_text("id\nf2\nbogus\n")
@@ -243,15 +265,18 @@ def test_generate_non_utf8_is_an_input_error(runner, tmp_path):
 HUGE = "3^99999"
 
 
-def _assert_clean_input_error(result):
+def _assert_clean_input_error(result, spec=HUGE):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error:")
-    assert HUGE in result.stderr
+    assert spec in result.stderr
 
 
 def test_search_huge_spec_is_an_input_error(runner):
     _assert_clean_input_error(invoke(runner, "search", HUGE))
+    # 16,000 vertices pass the vertex cap, but their column masks would take
+    # 16,000^2 bits and about 14 s to build before the first node
+    _assert_clean_input_error(invoke(runner, "search", "16000^1"), "16000^1")
 
 
 def test_verify_huge_spec_is_an_input_error(runner, tmp_path):
@@ -278,4 +303,8 @@ def test_lambda_command(runner):
 
 def test_lambda_error_codes(runner):
     assert invoke(runner, "lambda", "-n", "2", "-s", "2").exit_code == 2
+    # one instruction set for n = 1025 is 1,024 permutations of 1,025 points
+    result = invoke(runner, "lambda", "-n", "1025", "-s", "1")
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:")
     assert invoke(runner, "lambda", "-n", "5", "-s", "11").exit_code == 3

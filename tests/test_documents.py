@@ -5,7 +5,6 @@ import pytest
 from hamming_radio.data import GOLDEN_NAMES, golden_ordering, golden_path
 from hamming_radio.documents import (
     OrderingDocument,
-    format_spec_string,
     parse_instruction_rows,
     parse_ordering_document,
     parse_ordering_json,
@@ -49,8 +48,8 @@ def test_parse_spec_string_errors(text):
 
 def test_format_spec_round_trip():
     spec = make_graph_spec([(3, 4), (4, 7)])
-    assert format_spec_string(spec) == "3^4 x 4^7"
-    assert parse_spec_string(format_spec_string(spec)) == spec
+    assert str(spec) == "3^4 x 4^7"
+    assert parse_spec_string(str(spec)) == spec
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)

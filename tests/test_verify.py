@@ -18,11 +18,10 @@ from hamming_radio.verify import (
     repetition_violations,
     verify_radio,
 )
-from hamming_radio.verify import Labeling, _minimal_label
+from hamming_radio.verify import Labeling
 
 from .oracles import (
     oracle_greedy_labels,
-    oracle_minimal_label,
     oracle_pairwise_violations,
     random_permutation_rows,
     random_weak_rows,
@@ -118,25 +117,24 @@ def test_synthetic_violation_details(golden_k32):
         assert "share" in str(v)
 
 
-def test_minimal_label_matches_oracle():
-    rng = seeded(107)
-    for _ in range(200):
-        lower = rng.randint(1, 10)
-        intervals = []
-        for _ in range(rng.randint(0, 6)):
-            lo = rng.randint(-3, 12)
-            intervals.append((lo, lo + rng.randint(1, 5)))
-        assert _minimal_label(lower, intervals) == oracle_minimal_label(lower, intervals)
-
-
-def test_induced_labeling_matches_greedy_oracle():
-    spec = make_graph_spec([(3, 2)])
+def test_induced_labeling_matches_greedy_oracle(golden_k32, golden_k34):
+    """The windowed recurrence against the all-earlier-rows greedy, on shuffled
+    orderings (t = 1, mixed sizes, the 3^4 boundary) and the two goldens."""
     rng = seeded(109)
-    for _ in range(50):
-        rows = random_permutation_rows(spec, rng)
-        labeling = induced_labeling(Ordering(spec, rows))
-        expected = oracle_greedy_labels(spec.diameter, rows)
-        assert [labeling.assignment[v] for v in rows] == expected
+    orderings = [golden_k32, golden_k34]
+    for factors, count in (
+        ([(5, 1)], 5),
+        ([(2, 1), (3, 1)], 20),
+        ([(3, 2)], 50),
+        ([(4, 2)], 20),
+        ([(3, 4)], 10),
+    ):
+        spec = make_graph_spec(factors)
+        orderings += [Ordering(spec, random_permutation_rows(spec, rng)) for _ in range(count)]
+    for ordering in orderings:
+        labeling = induced_labeling(ordering)
+        expected = oracle_greedy_labels(ordering.spec.diameter, ordering.rows)
+        assert [labeling.assignment[v] for v in ordering.rows] == expected
 
 
 def test_induced_labeling_rejects_repetition(k32_spec):
