@@ -7,6 +7,7 @@ exceeded.  Searches run on a single worker for reproducibility.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
@@ -21,15 +22,7 @@ from .documents import (
     serialize_ordering_json,
     serialize_ordering_text,
 )
-from .errors import (
-    BudgetExceededError,
-    DocumentError,
-    NotAtBoundaryError,
-    RadioGraphError,
-    RepetitionError,
-    SpecError,
-    TooLargeError,
-)
+from .errors import BudgetExceededError, InvalidWitnessError, RadioGraphError, RepetitionError
 from .instructions import (
     GeneratorKind,
     builtin_generator,
@@ -67,14 +60,27 @@ def _emit(doc: OrderingDocument, fmt: str, out_path: str | None) -> None:
 
 
 def _violation_entry(v) -> dict:
-    entry = {"kind": type(v).__name__, "detail": str(v)}
-    for name in ("row", "gap", "shared", "row_a", "row_b", "first_gap"):
-        if hasattr(v, name):
-            entry[name] = getattr(v, name)
-    return entry
+    return {"kind": type(v).__name__, "detail": str(v), **dataclasses.asdict(v)}
 
 
-@click.group()
+class _Commands(click.Group):
+    """The one place the exit-code contract is kept: a package error exits 2
+    (3 for a budget), as does a file that cannot be read or decoded.
+    InvalidWitnessError is a defect in the search, so it propagates, and a
+    closed stdout is left to click, which exits 1 quietly."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (InvalidWitnessError, BrokenPipeError):
+            raise
+        except BudgetExceededError as exc:
+            _fail(3, str(exc))
+        except (RadioGraphError, OSError, UnicodeDecodeError) as exc:
+            _fail(2, str(exc))
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Consecutive radio labelings of Hamming graphs: verify, bound, search."""
 
@@ -86,19 +92,10 @@ def main() -> None:
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def verify(path: str, boundary: bool, show_labeling: bool, fmt: str) -> None:
     """Check that an ordering file induces a consecutive radio labeling."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = parse_ordering_document(fh.read())
-        ordering = doc.to_ordering()
-    except (DocumentError, OSError, UnicodeDecodeError) as exc:
-        _fail(2, str(exc))
+    with open(path, encoding="utf-8") as fh:
+        ordering = parse_ordering_document(fh.read()).to_ordering()
     violations = check_ordering(ordering)
-    boundary_violations = []
-    if boundary:
-        try:
-            boundary_violations = boundary_structure_check(ordering)
-        except NotAtBoundaryError as exc:
-            _fail(2, str(exc))
+    boundary_violations = boundary_structure_check(ordering) if boundary else []
     labels = None
     if show_labeling:
         try:
@@ -144,10 +141,7 @@ def verify(path: str, boundary: bool, show_labeling: bool, fmt: str) -> None:
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def bound(spec_string: str, fmt: str) -> None:
     """Apply the cumulative-width threshold test to a graph spec like '3^4x4^7'."""
-    try:
-        spec = parse_spec_string(spec_string)
-    except DocumentError as exc:
-        _fail(2, str(exc))
+    spec = parse_spec_string(spec_string)
     verdict = bound_verdict(spec)
     if fmt == "json":
         payload = {
@@ -197,40 +191,26 @@ def search(
     fmt: str,
 ) -> None:
     """Search for a consecutive radio labeling; writes the ordering when found."""
-    try:
-        config = SearchConfig(
-            node_budget=node_budget,
-            time_budget=time_budget,
-            seed=seed,
-            symmetry_fixing=not no_symmetry,
-        )
-    except RadioGraphError as exc:
-        _fail(2, str(exc))
+    config = SearchConfig(
+        node_budget=node_budget,
+        time_budget=time_budget,
+        seed=seed,
+        symmetry_fixing=not no_symmetry,
+    )
     if randomize and seed is None:
         _fail(2, "randomized candidate order needs a seed")
     if seed is not None and not randomize:
         _fail(2, "--seed only applies with --randomize")
 
-    spec = None
-    if spec_string:
-        try:
-            spec = parse_spec_string(spec_string)
-        except DocumentError as exc:
-            _fail(2, str(exc))
+    spec = parse_spec_string(spec_string) if spec_string else None
     if reduced_k34:
-        if spec is not None and spec.factors != parse_spec_string("3^4").factors:
+        if spec is not None and str(spec) != "3^4":
             _fail(2, "--reduced-k34 only searches 3^4")
-        try:
-            outcome = search_k34_reduced(config)
-        except SpecError as exc:
-            _fail(2, str(exc))
+        outcome = search_k34_reduced(config)
     else:
         if spec is None:
             _fail(2, "a spec argument is required without --reduced-k34")
-        try:
-            outcome = search_ordering(spec, config)
-        except TooLargeError as exc:
-            _fail(2, str(exc))
+        outcome = search_ordering(spec, config)
 
     click.echo(
         f"status: {outcome.status.value} (nodes {outcome.nodes_explored}, "
@@ -264,15 +244,11 @@ def search(
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def generate(spec_string: str, instructions_path: str, kind: str, out_path: str | None, fmt: str) -> None:
     """Decode an instruction matrix into an ordering and validate it."""
-    try:
-        spec = parse_spec_string(spec_string)
-        generators = tuple(
-            builtin_generator(kind, spec.column_size(j)) for j in range(1, spec.diameter + 1)
-        )
-        with open(instructions_path, encoding="utf-8") as fh:
-            og = parse_instruction_rows(fh.read(), spec, generators)
-    except (DocumentError, RadioGraphError, OSError, UnicodeDecodeError) as exc:
-        _fail(2, str(exc))
+    spec = parse_spec_string(spec_string)
+    # lazy, so the matrix's row count is checked before t generators are built
+    generators = (builtin_generator(kind, spec.column_size(j)) for j in range(1, spec.diameter + 1))
+    with open(instructions_path, encoding="utf-8") as fh:
+        og = parse_instruction_rows(fh.read(), spec, generators)
     ordering = materialize(og)
     violations = check_ordering(ordering)
     _emit(OrderingDocument.from_ordering(ordering, {"generator_kind": kind}), fmt, out_path)
@@ -291,13 +267,7 @@ def generate(spec_string: str, instructions_path: str, kind: str, out_path: str 
 @click.option("-s", "--length", "length", type=int, required=True)
 def lambda_cmd(kind: str, n: int, length: int) -> None:
     """Debug helper: list the instruction runs of a given length that fix slot 1."""
-    try:
-        gen = builtin_generator(kind, n)
-        runs = enumerate_fixing_runs(gen, length)
-    except BudgetExceededError as exc:
-        _fail(3, str(exc))
-    except RadioGraphError as exc:
-        _fail(2, str(exc))
+    runs = enumerate_fixing_runs(builtin_generator(kind, n), length)
     for line in sorted(subscript_string(run) for run in runs):
         click.echo(line)
     click.echo(f"{len(runs)} run(s) of length {length} fix slot 1", err=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import DocumentError, RadioGraphError
 from .graphs import GraphSpec, make_graph_spec
@@ -134,20 +135,21 @@ _TOKEN_RE = re.compile(r"f([0-9]+)")
 
 
 def parse_instruction_rows(
-    text: str, spec: GraphSpec, generators: tuple[InstructionGenerator, ...]
+    text: str, spec: GraphSpec, generators: Iterable[InstructionGenerator]
 ) -> OrderGenerator:
     """Parse an instruction matrix of 'id' / 'f2' / 'f3' ... tokens.
 
     Tokens are resolved against the set each column's generator offers after
     the instruction one row up, so the same token can mean different
-    permutations for the history kind.
+    permutations for the history kind.  `generators` is read only after the
+    row count matches the spec, so a lazy iterable costs nothing on a refusal.
     """
     lines = [line.split() for line in text.splitlines() if line.strip()]
+    n = len(lines)
+    if spec.has_more_vertices_than(n) or spec.num_vertices != n:
+        raise DocumentError(f"instruction matrix has {n} rows, spec needs {spec.num_vertices_text}")
+    generators = tuple(generators)
     t = spec.diameter
-    if len(lines) != spec.num_vertices:
-        raise DocumentError(
-            f"instruction matrix has {len(lines)} rows, spec needs {spec.num_vertices_text}"
-        )
     for lineno, toks in enumerate(lines, start=1):
         if len(toks) != t:
             raise DocumentError(f"row {lineno} has {len(toks)} entries, expected {t}")

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The CLI maps them to exit codes by class: BudgetExceededError exits 3,
+InvalidWitnessError propagates, and every other one exits 2.
+"""
 
 
 class RadioGraphError(Exception):
@@ -30,11 +34,11 @@ class UnsupportedSizeError(RadioGraphError, ValueError):
 
 
 class TooLargeError(RadioGraphError):
-    """The requested enumeration exceeds its size cap."""
+    """The requested enumeration exceeds its size cap (a module constant); the CLI exits 2."""
 
 
 class BudgetExceededError(RadioGraphError):
-    """An exhaustive enumeration would exceed the configured cap."""
+    """An exhaustive enumeration would exceed instructions.ENUMERATION_CAP; the CLI exits 3."""
 
 
 class DocumentError(RadioGraphError, ValueError):

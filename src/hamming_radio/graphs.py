@@ -9,6 +9,7 @@ differ, so the diameter equals the total number of columns.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -58,7 +59,7 @@ class GraphSpec:
         if any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise SpecError(f"factor sizes must be strictly increasing, got {sizes}")
 
-    @property
+    @functools.cached_property  # validate_vertex reads it for every row
     def diameter(self) -> int:
         return sum(f.copies for f in self.factors)
 
@@ -66,12 +67,22 @@ class GraphSpec:
     def num_vertices(self) -> int:
         return math.prod(f.size ** f.copies for f in self.factors)
 
+    def has_more_vertices_than(self, cap: int) -> bool:
+        """num_vertices > cap, decided without computing num_vertices, whose
+        cost grows faster than its exponents: every factor has size >= 2, so
+        no power needs an exponent above cap.bit_length()."""
+        n = 1
+        for f in self.factors:
+            n *= f.size ** min(f.copies, cap.bit_length())
+            if n > cap:
+                return True
+        return False
+
     @property
     def num_vertices_text(self) -> str:
         """num_vertices for messages; past 30 digits the product of factor
         powers, since str() refuses an integer of more than 4,300 digits."""
-        n = self.num_vertices
-        return str(n) if n < 10**30 else str(self)
+        return str(self) if self.has_more_vertices_than(10**30 - 1) else str(self.num_vertices)
 
     @property
     def cumulative_widths(self) -> tuple[int, ...]:
@@ -94,10 +105,9 @@ class GraphSpec:
 
     def validate_vertex(self, v: Iterable[int]) -> Vertex:
         v = tuple(v)
-        sizes = self.column_sizes()
-        if len(v) != len(sizes):
-            raise ShapeError(f"vertex {v} has {len(v)} coordinates, expected {len(sizes)}")
-        for coord, size in zip(v, sizes):
+        if len(v) != self.diameter:
+            raise ShapeError(f"vertex {v} has {len(v)} coordinates, expected {self.diameter}")
+        for coord, size in zip(v, self.column_sizes()):
             if not 1 <= coord <= size:
                 raise ShapeError(f"coordinate {coord} outside 1..{size} in vertex {v}")
         return v

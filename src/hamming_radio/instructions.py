@@ -311,10 +311,10 @@ class OrderGenerator:
         object.__setattr__(self, "cells", cells)
         gens = tuple(self.generators)
         object.__setattr__(self, "generators", gens)
-        t = self.spec.diameter
-        if len(cells) != self.spec.num_vertices:
+        t, n = self.spec.diameter, len(cells)
+        if self.spec.has_more_vertices_than(n) or self.spec.num_vertices != n:
             raise ShapeError(
-                f"order generator has {len(cells)} rows, spec needs {self.spec.num_vertices_text}"
+                f"order generator has {n} rows, spec needs {self.spec.num_vertices_text}"
             )
         for row in cells:
             if len(row) != t:

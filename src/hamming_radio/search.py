@@ -165,11 +165,11 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
     outside time_budget, so more than MASK_BIT_CAP mask bits raise TooLargeError.
     """
     config = config or SearchConfig()
-    n_total = spec.num_vertices
-    if n_total > DEFAULT_ENUMERATION_CAP:
+    if spec.has_more_vertices_than(DEFAULT_ENUMERATION_CAP):
         raise TooLargeError(
             f"{spec.num_vertices_text} vertices exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
+    n_total = spec.num_vertices
     if n_total * sum(spec.column_sizes()) > MASK_BIT_CAP:
         raise TooLargeError(f"the column masks of {spec} exceed the cap of {MASK_BIT_CAP} bits")
     candidates = list(enumerate_vertices(spec))
@@ -255,8 +255,7 @@ class BruteForceResult:
 def brute_force_radio_graceful(spec: GraphSpec) -> BruteForceResult:
     """Ground-truth oracle: try every ordering with the first two rows pinned,
     checking each with the verifier."""
-    n_total = spec.num_vertices
-    if n_total > BRUTE_FORCE_CAP:
+    if spec.has_more_vertices_than(BRUTE_FORCE_CAP):
         raise TooLargeError(
             f"{spec.num_vertices_text} vertices exceed the brute-force cap {BRUTE_FORCE_CAP}"
         )

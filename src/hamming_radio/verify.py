@@ -29,12 +29,10 @@ class Ordering:
     rows: tuple[Vertex, ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(self.spec.validate_vertex(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) != self.spec.num_vertices:
-            raise ShapeError(
-                f"ordering has {len(rows)} rows, spec needs {self.spec.num_vertices_text}"
-            )
+        n = len(self.rows)
+        if self.spec.has_more_vertices_than(n) or self.spec.num_vertices != n:
+            raise ShapeError(f"ordering has {n} rows, spec needs {self.spec.num_vertices_text}")
+        object.__setattr__(self, "rows", tuple(self.spec.validate_vertex(r) for r in self.rows))
 
     def row(self, i: int) -> Vertex:
         """1-based row access."""

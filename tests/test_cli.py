@@ -1,12 +1,17 @@
+import ast
+import errno
 import json
 import re
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
+from hamming_radio import cli, errors
 from hamming_radio.cli import main
 from hamming_radio.data import golden_path
 from hamming_radio.documents import parse_ordering_text
+from hamming_radio.graphs import GraphSpec
 from hamming_radio.verify import check_ordering
 
 from .test_documents import instruction_text_for
@@ -263,6 +268,20 @@ def test_generate_non_utf8_is_an_input_error(runner, tmp_path):
 # 3^99999 has 47,712 decimal digits, past the 4,300 that str() will print, so
 # these commands used to die with a ValueError traceback and exit 1
 HUGE = "3^99999"
+# computing 3^10000000 took 3.9 s, and its 10^7 column sizes took 80 MB
+HUGER = "3^10000000"
+
+
+@pytest.fixture()
+def no_huge_vertex_count(monkeypatch):
+    """Refusing a huge spec must not compute its vertex count."""
+    real = GraphSpec.num_vertices.fget
+
+    def guarded(spec):
+        assert spec.diameter <= 1000, f"num_vertices computed for {spec}"
+        return real(spec)
+
+    monkeypatch.setattr(GraphSpec, "num_vertices", property(guarded))
 
 
 def _assert_clean_input_error(result, spec=HUGE):
@@ -272,23 +291,35 @@ def _assert_clean_input_error(result, spec=HUGE):
     assert spec in result.stderr
 
 
-def test_search_huge_spec_is_an_input_error(runner):
-    _assert_clean_input_error(invoke(runner, "search", HUGE))
+def test_search_huge_spec_is_an_input_error(runner, no_huge_vertex_count):
+    for spec in (HUGE, HUGER):
+        _assert_clean_input_error(invoke(runner, "search", spec), spec)
     # 16,000 vertices pass the vertex cap, but their column masks would take
     # 16,000^2 bits and about 14 s to build before the first node
     _assert_clean_input_error(invoke(runner, "search", "16000^1"), "16000^1")
 
 
-def test_verify_huge_spec_is_an_input_error(runner, tmp_path):
+def test_verify_huge_spec_is_an_input_error(runner, tmp_path, no_huge_vertex_count):
     doc = tmp_path / "huge.txt"
     doc.write_text(f"spec: {HUGE}\n" + " ".join(["1"] * 99_999) + "\n")
     _assert_clean_input_error(invoke(runner, "verify", str(doc)))
+    # the row count is refused before any row is checked against 10^7 columns
+    doc.write_text(f"spec: {HUGER}\n1 1 1 1\n")
+    tracemalloc.start()
+    try:
+        result = invoke(runner, "verify", str(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_clean_input_error(result, HUGER)
+    assert peak < 8_000_000
 
 
-def test_generate_huge_spec_is_an_input_error(runner, tmp_path):
+def test_generate_huge_spec_is_an_input_error(runner, tmp_path, no_huge_vertex_count):
     matrix = tmp_path / "instructions.txt"
     matrix.write_text("id\n")
-    _assert_clean_input_error(invoke(runner, "generate", HUGE, str(matrix)))
+    for spec in (HUGE, HUGER):
+        _assert_clean_input_error(invoke(runner, "generate", spec, str(matrix)), spec)
 
 
 def test_lambda_command(runner):
@@ -308,3 +339,115 @@ def test_lambda_error_codes(runner):
     assert result.exit_code == 2
     assert result.stderr.startswith("error:")
     assert invoke(runner, "lambda", "-n", "5", "-s", "11").exit_code == 3
+
+
+PACKAGE_ERRORS = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type)
+    and issubclass(cls, errors.RadioGraphError)
+    and cls is not errors.InvalidWitnessError
+]
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize(
+    "first_call, args",
+    [
+        ("parse_ordering_document", ["verify", str(golden_path("k3_2"))]),
+        ("parse_spec_string", ["bound", "3^2"]),
+        ("SearchConfig", ["search", "3^2"]),
+        ("parse_spec_string", ["generate", "3^2", str(golden_path("k3_2"))]),
+        ("builtin_generator", ["lambda", "-n", "3", "-s", "2"]),
+    ],
+    ids=["verify", "bound", "search", "generate", "lambda"],
+)
+def test_every_command_maps_package_errors(runner, monkeypatch, first_call, args, error):
+    def failing(*_args, **_kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, first_call, failing)
+    result = invoke(runner, *args)
+    assert result.exit_code == (3 if error is errors.BudgetExceededError else 2), result.output
+    assert result.stderr.startswith("error:")
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_invalid_witness_is_not_an_input_error(runner, monkeypatch):
+    # a defect in the search, so it must not read as exit 2
+    monkeypatch.setattr("hamming_radio.search.is_valid_ordering", lambda ordering: False)
+    result = invoke(runner, "search", "3^2")
+    assert isinstance(result.exception, errors.InvalidWitnessError)
+
+
+def test_closed_stdout_is_left_to_click(runner, monkeypatch):
+    # click exits 1 quietly on EPIPE, as for `hamming-radio lambda ... | head`
+    def closed(*_args, **_kwargs):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(cli, "parse_spec_string", closed)
+    result = invoke(runner, "bound", "3^2")
+    assert result.exit_code == 1
+    assert result.stderr == ""
+
+
+def test_cli_maps_errors_in_one_place():
+    """Only the command group's boundary maps errors to exit codes.  _emit
+    words its own unwritable --out error, and verify's RepetitionError means
+    "no labels", which is control flow."""
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    handlers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler):
+                handlers.append((scope, ast.unparse(child.type)))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(tree, ())
+    boundary = [kind for scope, kind in handlers if scope == ("_Commands", "invoke")]
+    assert "BudgetExceededError" in boundary
+    assert [h for h in handlers if h[0] != ("_Commands", "invoke")] == [
+        (("_emit",), "OSError"),
+        (("verify",), "RepetitionError"),
+    ]
+
+
+def _entry(kind, detail, **fields):
+    return [("kind", kind), ("detail", detail), *fields.items()]
+
+
+def test_verify_json_violation_entries_are_pinned(runner, tmp_path, golden_k34):
+    rows = list(golden_k34.rows)
+    rows[10], rows[11] = rows[11], rows[10]
+    rows[79] = rows[50]
+    doc = tmp_path / "broken.txt"
+    doc.write_text("spec: 3^4\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    result = invoke(runner, "verify", "--format", "json", "--boundary", str(doc))
+    assert result.exit_code == 1
+    payload = json.loads(result.stdout)
+    radio = "RadioViolation"
+    assert [list(e.items()) for e in payload["violations"]] == [
+        _entry(radio, "rows 10 and 11 (gap 1) share 1 coordinates, at most 0 allowed",
+               row=11, gap=1, shared=1),
+        _entry(radio, "rows 9 and 11 (gap 2) share 2 coordinates, at most 1 allowed",
+               row=11, gap=2, shared=2),
+        _entry(radio, "rows 12 and 13 (gap 1) share 1 coordinates, at most 0 allowed",
+               row=13, gap=1, shared=1),
+        _entry(radio, "rows 12 and 14 (gap 2) share 2 coordinates, at most 1 allowed",
+               row=14, gap=2, shared=2),
+        _entry(radio, "rows 80 and 81 (gap 1) share 2 coordinates, at most 0 allowed",
+               row=81, gap=1, shared=2),
+        _entry("RepetitionViolation", "rows 51 and 80 are the same vertex", row_a=51, row_b=80),
+    ]
+    forced = "coordinates, boundary structure forces exactly"
+    assert [list(e.items()) for e in payload["boundary_violations"]] == [
+        _entry("BoundaryViolation", f"rows {row} and {row + gap} share {shared} {forced} {gap - 1}",
+               row=row, gap=gap, shared=shared)
+        for row, gap, shared in [
+            (9, 2, 2), (9, 3, 1), (10, 1, 1), (10, 2, 0), (11, 2, 0),
+            (11, 3, 1), (12, 1, 1), (12, 2, 2), (80, 1, 2),
+        ]
+    ]
