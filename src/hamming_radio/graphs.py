@@ -107,9 +107,13 @@ class GraphSpec:
         v = tuple(v)
         if len(v) != self.diameter:
             raise ShapeError(f"vertex {v} has {len(v)} coordinates, expected {self.diameter}")
-        for coord, size in zip(v, self.column_sizes()):
-            if not 1 <= coord <= size:
-                raise ShapeError(f"coordinate {coord} outside 1..{size} in vertex {v}")
+        start = 0
+        for f in self.factors:  # no column_sizes() tuple: this runs for every row
+            stop = start + f.copies
+            for coord in v[start:stop]:
+                if not 1 <= coord <= f.size:
+                    raise ShapeError(f"coordinate {coord} outside 1..{f.size} in vertex {v}")
+            start = stop
         return v
 
     def constant_vertex(self, value: int) -> Vertex:

@@ -287,6 +287,19 @@ def _k34_successors() -> tuple[tuple[tuple[int, ...], ...], ...]:
     )
 
 
+@functools.cache
+def _k34_reach() -> tuple[tuple[int, ...], ...]:
+    """reach[v][d]: the bitset of the four rows succ[v][d], built once per process."""
+    return tuple(
+        tuple(sum(1 << w for w in onward) for onward in by_step) for by_step in _k34_successors()
+    )
+
+
+# the columns a step may negate after negating prev_col, in column order;
+# index -1, the last entry, serves prev_col -1 before the first negation
+_K34_COLUMNS_AFTER = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2), (0, 1, 2, 3))
+
+
 def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
     """Search K_3^4 as a walk over step vectors.
 
@@ -300,12 +313,19 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
     instruction row with its single f_2 in column c.  A state is the tail
     row, the last step and the column negated last.
 
-    A child w that is not the last row is skipped when every row one step
-    on from it is used already: the used set only grows along a path, so no
+    The walk keeps `free`, the bitset of rows not yet placed.  A child w
+    that is not the last row is skipped when every row one step on from it
+    is placed already: the placed set only grows along a path, so no
     completion passes through w, and skipping it loses no solutions.  The
-    exploration order is fully determined by config and seed, so runs cut
-    off by the node budget reproduce outcome and node count exactly; a
-    wall-clock cutoff lands wherever the clock does.
+    rows one step on from w are succ[w][new_step][c2] for the columns c2
+    other than col, the one just negated (negating it again would break the
+    rule above).  reach[w][new_step] has the bits of all four succ[w][new_step]
+    rows, which are distinct because their steps differ; clearing the bit of
+    column col leaves exactly those three, so one AND with `free` asks
+    whether some onward row is unplaced.  The exploration order is fully
+    determined by config and seed, so runs cut off by the node budget
+    reproduce outcome and node count exactly; a wall-clock cutoff lands
+    wherever the clock does.
     """
     config = config or SearchConfig()
     if not config.symmetry_fixing:
@@ -314,12 +334,12 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
         )
     spec = make_graph_spec([(3, 4)])
     succ = _k34_successors()
+    reach = _k34_reach()
     n_total = spec.num_vertices
-
-    rng = random.Random(config.seed)
+    rng = None if config.seed is None else random.Random(config.seed)
 
     rows: list[int] = [0, 40]  # the all-1 and all-2 vertices
-    used = (1 << 0) | (1 << 40)
+    free = ((1 << n_total) - 1) ^ (1 << 0) ^ (1 << 40)
     step = 0  # +1 in every coordinate
     prev_col = -1  # the column negated last; -1 before the first negation
 
@@ -327,35 +347,28 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
         entry = succ[rows[-1]][step]
         interior = len(rows) < n_total - 1
         out = []
-        for col in range(4):
-            if col == prev_col:
-                continue
+        for col in _K34_COLUMNS_AFTER[prev_col]:
             w = entry[col]
-            if (used >> w) & 1:
+            if not (free >> w) & 1:
                 continue
             new_step = step ^ (1 << col)
-            if interior:
-                onward = succ[w][new_step]
-                for c2 in range(4):
-                    if c2 != col and not (used >> onward[c2]) & 1:
-                        break
-                else:
-                    continue  # placing w would strand the walk one row later
+            if interior and not free & (reach[w][new_step] ^ (1 << succ[w][new_step][col])):
+                continue  # placing w would strand the walk one row later
             out.append((col, new_step, w))
-        if config.seed is not None:
+        if rng is not None:
             rng.shuffle(out)
         return out
 
     def push(choice: tuple[int, int, int]) -> None:
-        nonlocal used, step, prev_col
+        nonlocal free, step, prev_col
         prev_col, step, w = choice
         rows.append(w)
-        used |= 1 << w
+        free ^= 1 << w
 
     def pop() -> None:
         # step and prev_col go stale, but the driver pushes before it asks for children again
-        nonlocal used
-        used &= ~(1 << rows.pop())
+        nonlocal free
+        free |= 1 << rows.pop()
 
     status, nodes, max_depth, elapsed = _depth_first(
         rows, n_total, column_choices, push, pop, config.node_budget, config.time_budget

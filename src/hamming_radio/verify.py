@@ -59,7 +59,8 @@ class Labeling:
 
     @property
     def is_total(self) -> bool:
-        return len(self.assignment) == self.spec.num_vertices
+        n = len(self.assignment)
+        return not self.spec.has_more_vertices_than(n) and self.spec.num_vertices == n
 
 
 @dataclass(frozen=True, order=True)
@@ -166,9 +167,8 @@ def position_labeling(ordering: Ordering) -> Labeling:
 
 def is_consecutive(labeling: Labeling) -> bool:
     """True iff the labels are exactly 1..N with every vertex labeled."""
-    n = labeling.spec.num_vertices
-    values = sorted(labeling.assignment.values())
-    return len(labeling.assignment) == n and values == list(range(1, n + 1))
+    n = len(labeling.assignment)
+    return labeling.is_total and sorted(labeling.assignment.values()) == list(range(1, n + 1))
 
 
 def verify_radio(labeling: Labeling) -> list[RadioViolation]:

@@ -11,6 +11,7 @@ import random
 
 from hamming_radio.instructions import GeneratorKind, builtin_generator
 from hamming_radio.perms import act, identity
+from hamming_radio.search import _depth_first, _k34_successors
 
 
 def oracle_distance(u, v):
@@ -235,6 +236,65 @@ def oracle_k34_transitions():
             tuple(act(f2 if j == c else f3, arr)[0] for j, arr in enumerate(arrs)) for c in range(4)
         )
     return out
+
+
+def oracle_k34_walk(node_budget, seed=None):
+    """The reduced K_3^4 walk with a used-row bitset and a per-column scan.
+
+    The kernel search_k34_reduced ran before it kept free rows and reach
+    masks: each level scans the columns 0..3 but the one negated last, skips
+    a used row, and, below the last row, skips a child none of whose three
+    onward rows is unused.  random.Random(seed) shuffles each level's list
+    when a seed is given.  Runs on the package's _depth_first loop and
+    successor table, which have their own tests.  Returns (status, nodes,
+    deepest, rows), with rows the path left when the search stopped.
+    """
+    succ = _k34_successors()
+    n_total = 81
+    rng = random.Random(seed)
+
+    rows = [0, 40]  # the all-1 and all-2 vertices
+    used = (1 << 0) | (1 << 40)
+    step = 0  # +1 in every coordinate
+    prev_col = -1  # the column negated last; -1 before the first negation
+
+    def column_choices():
+        entry = succ[rows[-1]][step]
+        interior = len(rows) < n_total - 1
+        out = []
+        for col in range(4):
+            if col == prev_col:
+                continue
+            w = entry[col]
+            if (used >> w) & 1:
+                continue
+            new_step = step ^ (1 << col)
+            if interior:
+                onward = succ[w][new_step]
+                for c2 in range(4):
+                    if c2 != col and not (used >> onward[c2]) & 1:
+                        break
+                else:
+                    continue  # placing w would strand the walk one row later
+            out.append((col, new_step, w))
+        if seed is not None:
+            rng.shuffle(out)
+        return out
+
+    def push(choice):
+        nonlocal used, step, prev_col
+        prev_col, step, w = choice
+        rows.append(w)
+        used |= 1 << w
+
+    def pop():
+        nonlocal used
+        used &= ~(1 << rows.pop())
+
+    status, nodes, deepest, _ = _depth_first(
+        rows, n_total, column_choices, push, pop, node_budget, 60.0  # SearchConfig's default
+    )
+    return status.value, nodes, deepest, tuple(rows)
 
 
 def oracle_search_ordering(sizes, node_budget, seed=None, symmetry_fixing=True):

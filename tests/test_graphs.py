@@ -65,6 +65,20 @@ def test_vertex_validation():
         spec.constant_vertex(3)
 
 
+@pytest.mark.parametrize(
+    "vertex,message",
+    [
+        ((1, 3, 4), "coordinate 4 outside 1..3 in vertex (1, 3, 4)"),
+        ((3, 0, 4), "coordinate 3 outside 1..2 in vertex (3, 0, 4)"),  # the first bad column
+        ((1, 2), "vertex (1, 2) has 2 coordinates, expected 3"),
+    ],
+)
+def test_vertex_validation_messages_are_pinned(vertex, message):
+    with pytest.raises(ShapeError) as caught:
+        make_graph_spec([(2, 1), (3, 2)]).validate_vertex(vertex)
+    assert str(caught.value) == message
+
+
 def test_distance_and_shared_match_oracle():
     spec = make_graph_spec([(2, 2), (3, 2), (5, 1)])
     rng = seeded(11)

@@ -11,6 +11,7 @@ from hamming_radio.graphs import enumerate_vertices, make_graph_spec
 from hamming_radio.search import (
     SearchConfig,
     SearchStatus,
+    _k34_reach,
     _k34_successors,
     brute_force_radio_graceful,
     search_k34_reduced,
@@ -18,7 +19,7 @@ from hamming_radio.search import (
 )
 from hamming_radio.verify import check_ordering, is_valid_ordering
 
-from .oracles import oracle_k34_transitions, oracle_search_ordering
+from .oracles import oracle_k34_transitions, oracle_k34_walk, oracle_search_ordering
 
 
 def test_config_validation():
@@ -218,10 +219,12 @@ def test_step_successors_match_instructions():
 
 def test_successor_table_built_once():
     _k34_successors.cache_clear()
+    _k34_reach.cache_clear()
     config = SearchConfig(node_budget=10)
     search_k34_reduced(config)
     search_k34_reduced(config)
     assert _k34_successors.cache_info().misses == 1
+    assert _k34_reach.cache_info().misses == 1
 
 
 LEXICOGRAPHIC_ROWS_AT_1000 = [
@@ -256,6 +259,25 @@ def test_reduced_visit_order_is_pinned(monkeypatch, config, expected):
     outcome = search_k34_reduced(SearchConfig(node_budget=1_000, **config))
     assert (outcome.status, outcome.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, 1_001)
     assert left == [expected]
+
+
+@pytest.mark.parametrize("budget", [1_000, 20_000])
+@pytest.mark.parametrize("seed", [None, *range(10)])
+def test_reduced_walk_matches_used_row_oracle(monkeypatch, seed, budget):
+    """The free-row kernel visits what the used-row scan visited: same
+    status, node count, deepest row and path left at the cutoff."""
+    left = []
+    real = search._depth_first
+
+    def recording(rows, *args):
+        out = real(rows, *args)
+        left.append(tuple(rows))
+        return out
+
+    monkeypatch.setattr(search, "_depth_first", recording)
+    outcome = search_k34_reduced(SearchConfig(node_budget=budget, seed=seed))
+    got = (outcome.status.value, outcome.nodes_explored, outcome.max_depth_reached, left[0])
+    assert got == oracle_k34_walk(budget, seed)
 
 
 def test_search_imports_no_instruction_layer():

@@ -1,7 +1,7 @@
 import pytest
 
 from hamming_radio.errors import RepetitionError, ShapeError
-from hamming_radio.graphs import make_graph_spec
+from hamming_radio.graphs import GraphSpec, make_graph_spec
 from hamming_radio.perms import Permutation, from_cycles
 from hamming_radio.verify import (
     NonConsecutiveViolation,
@@ -153,6 +153,19 @@ def test_labeling_validation_and_consecutive(k32_spec):
     assert not is_consecutive(partial)
     report = check_labeling(partial)
     assert NonConsecutiveViolation(first_gap=2) in report
+
+
+def test_huge_labeling_is_sized_without_vertex_count(monkeypatch):
+    """is_total and is_consecutive decide a huge spec without computing N,
+    which for 3^10000000 took seconds."""
+
+    def refuse(spec):
+        raise AssertionError(f"num_vertices computed for {spec}")
+
+    monkeypatch.setattr(GraphSpec, "num_vertices", property(refuse))
+    empty = Labeling(make_graph_spec([(3, 10_000_000)]), {})
+    assert not empty.is_total
+    assert not is_consecutive(empty)
 
 
 def test_check_labeling_flags_close_pair(k32_spec):
