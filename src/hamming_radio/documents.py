@@ -146,7 +146,7 @@ def parse_instruction_rows(
     """
     lines = [line.split() for line in text.splitlines() if line.strip()]
     n = len(lines)
-    if spec.has_more_vertices_than(n) or spec.num_vertices != n:
+    if not spec.has_vertex_count(n):
         raise DocumentError(f"instruction matrix has {n} rows, spec needs {spec.num_vertices_text}")
     generators = tuple(generators)
     t = spec.diameter

@@ -67,6 +67,10 @@ class GraphSpec:
     def num_vertices(self) -> int:
         return math.prod(f.size ** f.copies for f in self.factors)
 
+    def has_vertex_count(self, n: int) -> bool:
+        """num_vertices == n, computing num_vertices only when it is at most n."""
+        return not self.has_more_vertices_than(n) and self.num_vertices == n
+
     def has_more_vertices_than(self, cap: int) -> bool:
         """num_vertices > cap, decided without computing num_vertices, whose
         cost grows faster than its exponents: every factor has size >= 2, so
@@ -92,10 +96,7 @@ class GraphSpec:
         """Alphabet size of 1-based column `col`."""
         if col < 1 or col > self.diameter:
             raise ShapeError(f"column {col} out of range 1..{self.diameter}")
-        for f, width in zip(self.factors, self.cumulative_widths):
-            if col <= width:
-                return f.size
-        raise AssertionError("unreachable")
+        return self.column_sizes()[col - 1]
 
     def column_sizes(self) -> tuple[int, ...]:
         out: list[int] = []
@@ -111,10 +112,20 @@ class GraphSpec:
         for f in self.factors:  # no column_sizes() tuple: this runs for every row
             stop = start + f.copies
             for coord in v[start:stop]:
+                if type(coord) is not int:  # not bool, not a float such as 1.5
+                    raise ShapeError(f"coordinate {coord!r} is not an integer in vertex {v}")
                 if not 1 <= coord <= f.size:
                     raise ShapeError(f"coordinate {coord} outside 1..{f.size} in vertex {v}")
             start = stop
         return v
+
+    def vertex_index(self, v: Iterable[int]) -> int:
+        """The position of v in enumerate_vertices order: the mixed-radix
+        number with digits coordinate - 1, column 1 most significant."""
+        index = 0
+        for size, coord in zip(self.column_sizes(), self.validate_vertex(v)):
+            index = index * size + coord - 1
+        return index
 
     def constant_vertex(self, value: int) -> Vertex:
         """The vertex with every coordinate equal to `value` (must fit every column)."""

@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
     UnsupportedSizeError,
 )
-from .graphs import GraphSpec
+from .graphs import GraphSpec, make_graph_spec
 from .perms import Permutation, act, identity
 from .verify import Ordering, RadioViolation, repetition_violations
 
@@ -262,6 +262,18 @@ def _walks(
             yield (sigma,) + rest
 
 
+def _refuse_past_cap(gen: InstructionGenerator, length: int, what: str) -> None:
+    """Refuse more than ENUMERATION_CAP walks of `length` instructions.  They
+    are counted as the (n-1)**length vertices of K_{n-1}^length, so no huge
+    power is computed and a count past 30 digits is written as one, e.g. 2^20000."""
+    if length > 0:
+        walks = make_graph_spec([(gen.n - 1, length)])
+        if walks.has_more_vertices_than(ENUMERATION_CAP):
+            raise BudgetExceededError(
+                f"{walks.num_vertices_text} {what} exceed the cap of {ENUMERATION_CAP}"
+            )
+
+
 def enumerate_fixing_runs(
     gen: InstructionGenerator, length: int
 ) -> frozenset[tuple[Permutation, ...]]:
@@ -270,10 +282,7 @@ def enumerate_fixing_runs(
     trailing run of s instructions lands in this set."""
     if length < 1:
         raise ShapeError(f"run length must be >= 1, got {length}")
-    if (gen.n - 1) ** length > ENUMERATION_CAP:
-        raise BudgetExceededError(
-            f"{(gen.n - 1) ** length} candidate runs exceed the cap of {ENUMERATION_CAP}"
-        )
+    _refuse_past_cap(gen, length, "candidate runs")
     return frozenset(filter(run_fixes_one, _walks(gen, identity(gen.n), length)))
 
 
@@ -283,10 +292,7 @@ def enumerate_instruction_columns(
     """Every legal instruction column of the given length, (n-1)**(length-2) total."""
     if length < 2:
         raise ShapeError(f"column length must be >= 2, got {length}")
-    if (gen.n - 1) ** (length - 2) > ENUMERATION_CAP:
-        raise BudgetExceededError(
-            f"{(gen.n - 1) ** (length - 2)} columns exceed the cap of {ENUMERATION_CAP}"
-        )
+    _refuse_past_cap(gen, length - 2, "columns")
     head = (identity(gen.n), gen.sets(identity(gen.n)).by_subscript(2))
     return [head + walk for walk in _walks(gen, head[1], length - 2)]
 
@@ -312,7 +318,7 @@ class OrderGenerator:
         gens = tuple(self.generators)
         object.__setattr__(self, "generators", gens)
         t, n = self.spec.diameter, len(cells)
-        if self.spec.has_more_vertices_than(n) or self.spec.num_vertices != n:
+        if not self.spec.has_vertex_count(n):
             raise ShapeError(
                 f"order generator has {n} rows, spec needs {self.spec.num_vertices_text}"
             )

@@ -32,7 +32,6 @@ from .errors import InvalidWitnessError, SpecError, TooLargeError
 from .graphs import GraphSpec, Vertex, enumerate_vertices, make_graph_spec
 from .verify import Ordering, check_ordering, is_valid_ordering
 
-DEFAULT_ENUMERATION_CAP = 1_000_000  # most vertices search_ordering enumerates
 BRUTE_FORCE_CAP = 9  # most vertices brute_force_radio_graceful permutes
 MASK_BIT_CAP = 1 << 25  # most column-mask bits (N x summed sizes) search_ordering builds
 
@@ -129,8 +128,8 @@ def _column_masks(candidates: list[Vertex], sizes: tuple[int, ...]) -> list[list
 
     Each column is written out as one character per candidate, last candidate
     first, and translated to a binary numeral per value, so every mask takes
-    linear time to build.  chr() caps values at 0x10FFFF; a column that large
-    alone exceeds DEFAULT_ENUMERATION_CAP.
+    linear time to build.  chr() caps values at 0x10FFFF; a column with more
+    values alone makes N x summed sizes exceed 2^40, far past MASK_BIT_CAP.
     """
     masks = []
     for j, size in enumerate(sizes):
@@ -162,16 +161,14 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
     resumes, and a pop that leaves fewer than t - 1 rows in the window
     recomputes the masks of the one row that re-enters it.  The extra row
     makes a dead end's push and pop cost no recompute.  The masks are built
-    outside time_budget, so more than MASK_BIT_CAP mask bits raise TooLargeError.
+    outside time_budget, so more than MASK_BIT_CAP mask bits raise
+    TooLargeError before N is computed.  That refuses every N > 10^6 too:
+    sizes summing to 33 or less give N <= 3^11, and 34 x 10^6 > 2^25.
     """
     config = config or SearchConfig()
-    if spec.has_more_vertices_than(DEFAULT_ENUMERATION_CAP):
-        raise TooLargeError(
-            f"{spec.num_vertices_text} vertices exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
-        )
-    n_total = spec.num_vertices
-    if n_total * sum(spec.column_sizes()) > MASK_BIT_CAP:
+    if spec.has_more_vertices_than(MASK_BIT_CAP // sum(f.size * f.copies for f in spec.factors)):
         raise TooLargeError(f"the column masks of {spec} exceed the cap of {MASK_BIT_CAP} bits")
+    n_total = spec.num_vertices
     candidates = list(enumerate_vertices(spec))
     if config.seed is not None:
         random.Random(config.seed).shuffle(candidates)
@@ -269,21 +266,24 @@ def brute_force_radio_graceful(spec: GraphSpec) -> BruteForceResult:
     return BruteForceResult(False, None)
 
 
+_K34 = make_graph_spec([(3, 4)])
+
+
 @functools.cache
 def _k34_successors() -> tuple[tuple[tuple[int, ...], ...], ...]:
     """succ[v][d][c]: the index of v + (d with bit c flipped) in K_3^4.
 
-    Indices are lexicographic, so column j has weight 3^(3 - j), and bit j of
-    a step d set means -1 in coordinate j, clear means +1 (mod 3).  Built
-    once per process and shared by every search.
+    Indices are GraphSpec.vertex_index values, the positions in
+    enumerate_vertices, and bit j of a step d set means -1 in coordinate j,
+    clear means +1 (mod 3).  Built once per process and shared by every search.
     """
-    weights = (27, 9, 3, 1)
 
-    def add(v: int, step: int) -> int:
-        return sum(w * ((v // w + (-1 if step >> j & 1 else 1)) % 3) for j, w in enumerate(weights))
+    def add(v: Vertex, step: int) -> int:
+        return _K34.vertex_index((a - 2 * (step >> j & 1)) % 3 + 1 for j, a in enumerate(v))
 
     return tuple(
-        tuple(tuple(add(v, d ^ (1 << c)) for c in range(4)) for d in range(16)) for v in range(81)
+        tuple(tuple(add(v, d ^ (1 << c)) for c in range(4)) for d in range(16))
+        for v in enumerate_vertices(_K34)
     )
 
 
@@ -332,14 +332,13 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
         raise SpecError(
             "the reduced K_3^4 search always pins rows 1-2; symmetry_fixing=False is unsupported"
         )
-    spec = make_graph_spec([(3, 4)])
     succ = _k34_successors()
     reach = _k34_reach()
-    n_total = spec.num_vertices
+    n_total = len(succ)
     rng = None if config.seed is None else random.Random(config.seed)
 
-    rows: list[int] = [0, 40]  # the all-1 and all-2 vertices
-    free = ((1 << n_total) - 1) ^ (1 << 0) ^ (1 << 40)
+    rows = [_K34.vertex_index(_K34.constant_vertex(value)) for value in (1, 2)]
+    free = ((1 << n_total) - 1) ^ (1 << rows[0]) ^ (1 << rows[1])
     step = 0  # +1 in every coordinate
     prev_col = -1  # the column negated last; -1 before the first negation
 
@@ -375,6 +374,6 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
     )
     ordering = None
     if status is SearchStatus.FOUND:
-        vertices = tuple(enumerate_vertices(spec))
-        ordering = Ordering(spec, tuple(vertices[i] for i in rows))
+        vertices = tuple(enumerate_vertices(_K34))  # position i holds the vertex of index i
+        ordering = Ordering(_K34, tuple(vertices[i] for i in rows))
     return _finish(status, ordering, nodes, max_depth, elapsed)

@@ -30,7 +30,7 @@ class Ordering:
 
     def __post_init__(self) -> None:
         n = len(self.rows)
-        if self.spec.has_more_vertices_than(n) or self.spec.num_vertices != n:
+        if not self.spec.has_vertex_count(n):
             raise ShapeError(f"ordering has {n} rows, spec needs {self.spec.num_vertices_text}")
         object.__setattr__(self, "rows", tuple(self.spec.validate_vertex(r) for r in self.rows))
 
@@ -52,15 +52,14 @@ class Labeling:
         clean = {}
         for v, label in self.assignment.items():
             v = self.spec.validate_vertex(v)
-            if label < 1:
-                raise ShapeError(f"label {label} for {v} is not a positive integer")
-            clean[v] = int(label)
+            if type(label) is not int or label < 1:  # not bool, not a float such as 1.9
+                raise ShapeError(f"label {label!r} for {v} is not a positive integer")
+            clean[v] = label
         object.__setattr__(self, "assignment", clean)
 
     @property
     def is_total(self) -> bool:
-        n = len(self.assignment)
-        return not self.spec.has_more_vertices_than(n) and self.spec.num_vertices == n
+        return self.spec.has_vertex_count(len(self.assignment))
 
 
 @dataclass(frozen=True, order=True)

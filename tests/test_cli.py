@@ -339,6 +339,11 @@ def test_lambda_error_codes(runner):
     assert result.exit_code == 2
     assert result.stderr.startswith("error:")
     assert invoke(runner, "lambda", "-n", "5", "-s", "11").exit_code == 3
+    # 2^20000 has 6,021 digits, past the 4,300 that str() will print, so the
+    # count is written as a power
+    result = invoke(runner, "lambda", "-n", "3", "-s", "20000")
+    assert result.exit_code == 3
+    assert result.stderr == "error: 2^20000 candidate runs exceed the cap of 1048576\n"
 
 
 PACKAGE_ERRORS = [

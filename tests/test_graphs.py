@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from hamming_radio import graphs
 from hamming_radio.errors import ShapeError, SpecError
 from hamming_radio.graphs import (
     Factor,
@@ -60,6 +64,8 @@ def test_vertex_validation():
         spec.validate_vertex((3, 1))  # column 1 only holds 1..2
     with pytest.raises(ShapeError):
         spec.validate_vertex((1, 0))
+    with pytest.raises(ShapeError):
+        spec.validate_vertex((True, 1))  # a bool is not the coordinate 1
     assert spec.constant_vertex(2) == (2, 2)
     with pytest.raises(ShapeError):
         spec.constant_vertex(3)
@@ -71,6 +77,7 @@ def test_vertex_validation():
         ((1, 3, 4), "coordinate 4 outside 1..3 in vertex (1, 3, 4)"),
         ((3, 0, 4), "coordinate 3 outside 1..2 in vertex (3, 0, 4)"),  # the first bad column
         ((1, 2), "vertex (1, 2) has 2 coordinates, expected 3"),
+        ((1, 1.5, 1), "coordinate 1.5 is not an integer in vertex (1, 1.5, 1)"),
     ],
 )
 def test_vertex_validation_messages_are_pinned(vertex, message):
@@ -108,3 +115,31 @@ def test_enumerate_vertices_lexicographic_and_complete():
     assert len(all_v) == big.num_vertices
     assert len(set(all_v)) == big.num_vertices
     assert all_v == sorted(all_v)
+
+    for product in (spec, big, make_graph_spec([(2, 2), (3, 1), (5, 2)])):
+        vertices = list(enumerate_vertices(product))
+        assert [product.vertex_index(v) for v in vertices] == list(range(len(vertices)))
+    with pytest.raises(ShapeError):
+        spec.vertex_index((3, 1))
+
+
+def test_vertex_count_is_read_only_in_graphs_and_after_the_search_cap():
+    """GraphSpec makes every vertex-count decision (has_vertex_count,
+    has_more_vertices_than, num_vertices_text).  Outside graphs.py only
+    search_ordering reads num_vertices, once its mask cap has admitted the spec."""
+    reads, caps = [], {}
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "num_vertices":
+                reads.append((module, scope, child.lineno))
+            if isinstance(child, ast.Attribute) and child.attr == "has_more_vertices_than":
+                caps.setdefault((module, scope), child.lineno)
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, module, scope + (child.name,) if named else scope)
+
+    for path in sorted(Path(graphs.__file__).parent.glob("*.py")):
+        if path.name != "graphs.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.name, ())
+    assert [(module, scope) for module, scope, _ in reads] == [("search.py", ("search_ordering",))]
+    assert all(line > caps[module, scope] for module, scope, line in reads)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -223,6 +224,23 @@ def test_column_count_formula(kind):
         for value_column in decoded:
             assert value_column[:2] == (1, 2)
             assert all(a != b for a, b in zip(value_column, value_column[1:]))
+
+
+def test_huge_lengths_are_refused_without_the_power():
+    """The cap is decided and the count written without computing
+    (n-1)**length, which for length 10**9 alone takes 250 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as runs:
+            enumerate_fixing_runs(builtin_generator(GeneratorKind.LRU, 5), 10**9)
+        with pytest.raises(BudgetExceededError) as columns:
+            enumerate_instruction_columns(builtin_generator(GeneratorKind.LRU, 3), 10**9 + 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(runs.value) == "4^1000000000 candidate runs exceed the cap of 1048576"
+    assert str(columns.value) == "2^1000000000 columns exceed the cap of 1048576"
+    assert peak < 1_000_000
 
 
 def test_column_enumeration_budget_and_shape():

@@ -64,8 +64,49 @@ def test_search_without_symmetry_agrees():
 
 def test_search_vertex_cap():
     with pytest.raises(TooLargeError):
-        # 1,594,323 vertices, past DEFAULT_ENUMERATION_CAP
+        # 1,594,323 vertices x 39 summed column sizes, past MASK_BIT_CAP
         search_ordering(make_graph_spec([(3, 13)]))
+
+
+class Admitted(Exception):
+    """Raised in place of enumerating the vertices of an admitted spec."""
+
+
+def _two_cap_refusal(spec):
+    """The rule search_ordering had: refuse more than 10^6 vertices, then
+    more than 2^25 column-mask bits."""
+    n = spec.num_vertices
+    return n > 10**6 or n * sum(spec.column_sizes()) > 2**25
+
+
+def test_one_mask_cap_refuses_what_two_caps_did(monkeypatch):
+    def refuse_to_enumerate(spec):
+        raise Admitted
+
+    monkeypatch.setattr(search, "enumerate_vertices", refuse_to_enumerate)
+    grids = [
+        [[(n, c)] for n in (2, 3, 4, 5, 7, 10, 100, 1000, 5792, 5793) for c in range(1, 22)],
+        [[(a, i), (b, j)] for a, b in itertools.combinations((2, 3, 4, 5, 7), 2)
+         for i, j in itertools.product(range(1, 15), repeat=2)],
+        [[(2, i), (b, j), (c, k)] for b, c in itertools.combinations((3, 4, 5, 7), 2)
+         for i, j, k in itertools.product(range(1, 10), repeat=3)],
+    ]
+    for grid in grids:
+        sides = set()
+        for factors in grid:
+            spec = make_graph_spec(factors)
+            try:
+                search_ordering(spec)
+            except TooLargeError as exc:
+                assert str(exc) == f"the column masks of {spec} exceed the cap of 33554432 bits"
+                refused = True
+            except Admitted:
+                refused = False
+            assert refused == _two_cap_refusal(spec), spec
+            n = spec.num_vertices
+            sides.add((n > 10**6, n * sum(spec.column_sizes()) > 2**25))
+        # admitted, refused by the mask bits alone, refused by both caps
+        assert sides == {(False, False), (False, True), (True, True)}, grid[0]
 
 
 def test_search_node_budget_is_exact():

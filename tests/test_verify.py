@@ -34,6 +34,10 @@ def test_ordering_shape_validation(k32_spec):
         Ordering(k32_spec, ((1, 1),) * 8)
     with pytest.raises(ShapeError):
         Ordering(k32_spec, ((1, 4),) + ((1, 1),) * 8)
+    # 2^2 has no valid ordering (search_ordering exhausts it), so a row of
+    # 1.5s must not make this one pass check_ordering
+    with pytest.raises(ShapeError, match="not an integer"):
+        Ordering(make_graph_spec([(2, 2)]), ((1, 1), (2, 2), (1.5, 1.5), (1, 2)))
     ordering = Ordering(k32_spec, ((1, 1),) * 9)
     assert ordering.row(1) == (1, 1)
     with pytest.raises(ShapeError):
@@ -148,6 +152,10 @@ def test_induced_labeling_rejects_repetition(k32_spec):
 def test_labeling_validation_and_consecutive(k32_spec):
     with pytest.raises(ShapeError):
         Labeling(k32_spec, {(1, 1): 0})
+    # int() would truncate 1.9 and 2.2 to the consecutive labels 1 and 2
+    for labels in ({(1, 1): 1.9, (2, 2): 2.2}, {(1, 1): True}, {(1, 1): "1"}):
+        with pytest.raises(ShapeError, match="is not a positive integer"):
+            Labeling(k32_spec, labels)
     partial = Labeling(k32_spec, {(1, 1): 1, (2, 2): 3})
     assert not partial.is_total
     assert not is_consecutive(partial)
