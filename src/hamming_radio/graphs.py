@@ -44,13 +44,14 @@ class GraphSpec:
 
     def __post_init__(self) -> None:
         factors = tuple(
-            f if isinstance(f, Factor) else Factor(int(f[0]), int(f[1]))
-            for f in self.factors
+            f if isinstance(f, Factor) else Factor(f[0], f[1]) for f in self.factors
         )
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise SpecError("spec needs at least one factor")
         for f in factors:
+            if type(f.size) is not int or type(f.copies) is not int:  # not bool, not 3.9
+                raise SpecError(f"factor {f.size!r}^{f.copies!r} needs integer size and copies")
             if f.size < 2:
                 raise SpecError(f"complete factor needs size >= 2, got {f.size}")
             if f.copies < 1:

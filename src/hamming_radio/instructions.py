@@ -373,13 +373,13 @@ def check_order_generator(og: OrderGenerator) -> list:
     for i in range(2, n_rows + 1):
         limit = min(t - 1, i - 1)
         for j in range(t):
-            sigma = og.cells[i - 1][j]
+            images = og.cells[i - 1][j].images  # materialize checked each cell fits its column
             prev = windows[j]
             new: list[int | None] = [None] * (t - 1)
             if t > 1:
-                new[0] = sigma(1)
+                new[0] = images[0]
                 for s in range(2, limit + 1):
-                    new[s - 1] = sigma(prev[s - 2])
+                    new[s - 1] = images[prev[s - 2] - 1]
             windows[j] = new
         for s in range(1, limit + 1):
             count = sum(1 for j in range(t) if windows[j][s - 1] == 1)

@@ -7,6 +7,8 @@ row and column indices in this module are 1-based to match that convention.
 One kernel, _window_shares, counts the coordinates each row shares with the
 rows just above it; check_ordering, bounds.boundary_structure_check and the
 greedy induced_labeling read only those counts, within t - 1 rows or fewer.
+verify_radio works on labels instead, for any labeling, and reads only the
+pairs whose labels differ by less than t: every other pair meets the condition.
 """
 
 from __future__ import annotations
@@ -173,17 +175,27 @@ def is_consecutive(labeling: Labeling) -> bool:
 def verify_radio(labeling: Labeling) -> list[RadioViolation]:
     """Independent all-pairs check of |f(u) - f(v)| >= diameter + 1 - d(u, v).
 
-    It reads every pair of labels, not a window of rows, so it also covers
+    It reads pairs of labels, not a window of rows, so it also covers
     labelings that are not consecutive and stays apart from _window_shares
-    as its cross-check.  Violations are reported against the larger label:
-    gap = label difference, shared = shared coordinate count.
+    as its cross-check.  With the items sorted by label, it compares each
+    item only with the later ones whose label exceeds its own by less than
+    the diameter t.  That is exact: distinct vertices share at most t - 1
+    coordinates, so a label gap of t or more always meets the condition.
+    Equal labels (gap 0) are always compared.  Violations are reported
+    against the larger label: gap = label difference, shared = shared
+    coordinate count.
     """
     items = sorted(labeling.assignment.items(), key=lambda kv: kv[1])
+    t = labeling.spec.diameter
     out: list[RadioViolation] = []
-    for (u, fu), (v, fv) in itertools.combinations(items, 2):
-        shared = shared_coordinates(u, v)
-        if fv - fu < shared + 1:
-            out.append(RadioViolation(row=fv, gap=fv - fu, shared=shared))
+    for i, (u, fu) in enumerate(items):
+        j = i + 1
+        while j < len(items) and items[j][1] - fu < t:
+            v, fv = items[j]
+            shared = shared_coordinates(u, v)
+            if fv - fu < shared + 1:
+                out.append(RadioViolation(row=fv, gap=fv - fu, shared=shared))
+            j += 1
     return out
 
 

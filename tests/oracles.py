@@ -9,9 +9,11 @@ from __future__ import annotations
 import itertools
 import random
 
+from hamming_radio.graphs import shared_coordinates
 from hamming_radio.instructions import GeneratorKind, builtin_generator
 from hamming_radio.perms import act, identity
 from hamming_radio.search import _depth_first, _k34_successors
+from hamming_radio.verify import RadioViolation
 
 
 def oracle_distance(u, v):
@@ -39,6 +41,18 @@ def oracle_pairwise_violations(diameter, labeled):
         if hi - lo < need:
             out.append((lo, hi, oracle_shared(u, v)))
     out.sort(key=lambda x: (x[1], x[1] - x[0]))
+    return out
+
+
+def oracle_verify_radio(labeling):
+    """verify_radio's reference: every pair of the label-sorted items, in
+    itertools.combinations order, equal labels included."""
+    items = sorted(labeling.assignment.items(), key=lambda kv: kv[1])
+    out: list[RadioViolation] = []
+    for (u, fu), (v, fv) in itertools.combinations(items, 2):
+        shared = shared_coordinates(u, v)
+        if fv - fu < shared + 1:
+            out.append(RadioViolation(row=fv, gap=fv - fu, shared=shared))
     return out
 
 

@@ -48,6 +48,9 @@ def test_product_derived_quantities():
         [(3, 0)],
         [(3, 1), (3, 2)],
         [(4, 1), (3, 1)],
+        [(3.9, 2.5)],
+        [Factor(3.5, 2)],
+        [(3, True)],
     ],
 )
 def test_bad_specs_rejected(factors):

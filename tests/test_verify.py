@@ -1,7 +1,8 @@
 import pytest
 
+from hamming_radio.documents import parse_spec_string
 from hamming_radio.errors import RepetitionError, ShapeError
-from hamming_radio.graphs import GraphSpec, make_graph_spec
+from hamming_radio.graphs import GraphSpec, enumerate_vertices, make_graph_spec, shared_coordinates
 from hamming_radio.perms import Permutation, from_cycles
 from hamming_radio.verify import (
     NonConsecutiveViolation,
@@ -23,6 +24,7 @@ from hamming_radio.verify import Labeling
 from .oracles import (
     oracle_greedy_labels,
     oracle_pairwise_violations,
+    oracle_verify_radio,
     random_permutation_rows,
     random_weak_rows,
     seeded,
@@ -181,6 +183,52 @@ def test_check_labeling_flags_close_pair(k32_spec):
     labeling = Labeling(k32_spec, {(1, 1): 1, (1, 2): 2})
     radio = verify_radio(labeling)
     assert radio == [RadioViolation(row=2, gap=1, shared=1)]
+
+
+@pytest.mark.parametrize("text", ["3", "2x3", "3^2", "4^2", "3^3", "2^4", "3^4", "2^2x5"])
+def test_verify_radio_matches_all_pairs_oracle(text):
+    """Stopping at label gap t loses no violation and reorders none, on
+    partial, repeating and sparse labelings alike."""
+    spec = parse_spec_string(text)
+    n = spec.num_vertices
+    vertices = list(enumerate_vertices(spec))
+    rng = seeded(131)
+    for _ in range(20):
+        subset = rng.sample(vertices, rng.randint(0, n))
+        for labels in (
+            rng.sample(range(1, n + 1), len(subset)),
+            [rng.randint(1, len(subset)) for _ in subset],
+            rng.sample(range(1, 3 * n + 1), len(subset)),
+        ):
+            labeling = Labeling(spec, dict(zip(subset, labels)))
+            assert verify_radio(labeling) == oracle_verify_radio(labeling)
+
+
+def test_verify_radio_reads_label_gaps_up_to_diameter_minus_one():
+    spec = make_graph_spec([(3, 3)])
+    u, v = (1, 1, 1), (1, 1, 2)  # share t - 1 = 2 coordinates
+    cases = {
+        (1, 3): [RadioViolation(row=3, gap=2, shared=2)],  # gap t - 1
+        (1, 4): [],  # gap t
+        (5, 5): [RadioViolation(row=5, gap=0, shared=2)],  # equal labels
+    }
+    for (fu, fv), expected in cases.items():
+        labeling = Labeling(spec, {u: fu, v: fv})
+        assert verify_radio(labeling) == oracle_verify_radio(labeling) == expected
+
+
+def test_verify_radio_pair_count(monkeypatch, golden_k34):
+    """On a consecutive labeling each label meets only the t - 1 above it:
+    the sum of min(3, 81 - i) over i = 1..81 is 237 of the 3,240 pairs."""
+    calls = []
+
+    def counting(u, v):
+        calls.append((u, v))
+        return shared_coordinates(u, v)
+
+    monkeypatch.setattr("hamming_radio.verify.shared_coordinates", counting)
+    assert verify_radio(position_labeling(golden_k34)) == []
+    assert len(calls) == 237
 
 
 def test_permute_column_preserves_validity(golden_k34):
