@@ -26,6 +26,17 @@ class Factor:
     copies: int  # how many columns this factor contributes
 
 
+def _as_factor(f) -> Factor:
+    """A Factor as given, or one built from a (size, copies) pair."""
+    if isinstance(f, Factor):
+        return f
+    try:
+        size, copies = f
+    except (TypeError, ValueError):  # not iterable, or not exactly two entries
+        raise SpecError(f"factor {f!r} is not a Factor or a (size, copies) pair") from None
+    return Factor(size, copies)
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Immutable description of a Hamming graph.
@@ -43,9 +54,7 @@ class GraphSpec:
         return " x ".join(f"{f.size}^{f.copies}" for f in self.factors)
 
     def __post_init__(self) -> None:
-        factors = tuple(
-            f if isinstance(f, Factor) else Factor(f[0], f[1]) for f in self.factors
-        )
+        factors = tuple(map(_as_factor, self.factors))
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise SpecError("spec needs at least one factor")

@@ -15,7 +15,7 @@ fixing slot 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .graphs import GraphSpec, make_graph_spec
-from .perms import Permutation, act, identity
+from .perms import Permutation, identity
 from .verify import Ordering, RadioViolation, repetition_violations
 
 ENUMERATION_CAP = 1 << 20  # most runs or columns an enumeration builds
@@ -35,9 +35,13 @@ ENUMERATION_CAP = 1 << 20  # most runs or columns an enumeration builds
 
 @dataclass(frozen=True)
 class InstructionSet:
-    """The permutations f_2..f_n available at one position; f_k(k) = 1."""
+    """The permutations f_2..f_n available at one position; f_k(k) = 1.
+
+    Membership and subscripts are looked up by images in a map built once.
+    """
 
     instructions: tuple[Permutation, ...]
+    _subscripts: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         instrs = tuple(self.instructions)
@@ -52,6 +56,8 @@ class InstructionSet:
                 raise MembershipError("instructions must all permute the same 1..n")
             if sigma(k) != 1:
                 raise MembershipError(f"instruction f_{k} must send {k} to 1, got {sigma(k)}")
+        subscripts = {sigma.images: k for k, sigma in enumerate(instrs, start=2)}
+        object.__setattr__(self, "_subscripts", subscripts)
 
     @property
     def n(self) -> int:
@@ -63,22 +69,16 @@ class InstructionSet:
         return self.instructions[k - 2]
 
     def subscript_of(self, sigma: Permutation) -> int:
-        """Recover k with sigma = f_k.  Any member sends its subscript to 1."""
+        """Recover k with sigma = f_k, looked up by sigma's images."""
         if sigma.n != self.n:
             raise MembershipError("permutation size does not match this instruction set")
-        k = sigma.inverse()(1)
-        if k < 2 or self.instructions[k - 2] != sigma:
+        k = self._subscripts.get(sigma.images)
+        if k is None:
             raise MembershipError(f"{sigma!r} is not a member of this instruction set")
         return k
 
     def __contains__(self, sigma: object) -> bool:
-        if not isinstance(sigma, Permutation):
-            return False
-        try:
-            self.subscript_of(sigma)
-        except MembershipError:
-            return False
-        return True
+        return isinstance(sigma, Permutation) and sigma.images in self._subscripts
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.instructions)
@@ -186,19 +186,17 @@ def arrangement_trace(
         raise MembershipError("an instruction column needs at least two rows")
     if instrs[0].n != n or not instrs[0].is_identity():
         raise MembershipError("row 1 of an instruction column must be the identity")
+    if instrs[1] != gen.sets(instrs[0]).instructions[0]:
+        raise MembershipError("row 2 of an instruction column must be f_2")
     arr = tuple(range(1, n + 1))
     trace = [arr]
-    for pos in range(2, len(instrs) + 1):
-        sigma = instrs[pos - 1]
-        iset = gen.sets(instrs[pos - 2])
-        if pos == 2:
-            if sigma != iset.by_subscript(2):
-                raise MembershipError("row 2 of an instruction column must be f_2")
-        elif sigma not in iset:
+    for pos, (previous, sigma) in enumerate(zip(instrs, instrs[1:]), start=2):
+        if pos > 2 and sigma not in gen.sets(previous):
             raise MembershipError(
                 f"instruction at position {pos} is not offered by the generator"
             )
-        arr = act(sigma, arr)
+        # membership fixed sigma's size at n, so act's length check cannot fire
+        arr = tuple(map(arr.__getitem__, sigma.gather()))
         trace.append(arr)
     return trace
 
@@ -218,7 +216,10 @@ def recover_instructions(
     At each position the next value sits in some slot k of the current
     arrangement, and f_k is the unique member moving slot k to the front.
     """
-    vals = tuple(int(v) for v in values)
+    vals = tuple(values)
+    for v in vals:
+        if type(v) is not int:  # not bool, not 2.9, not '2'
+            raise MembershipError(f"value {v!r} is not an integer")
     n = gen.n
     if len(vals) < 2:
         raise MembershipError("a value column needs at least two rows")
@@ -231,13 +232,15 @@ def recover_instructions(
         if a == b:
             raise MembershipError("consecutive values in a column must differ")
     arr = tuple(range(1, n + 1))
-    out: list[Permutation] = [identity(n)]
-    for pos in range(2, len(vals) + 1):
-        target = vals[pos - 1]
+    sigma = identity(n)
+    out: list[Permutation] = [sigma]
+    for target in vals[1:]:
+        # The front of arr is the previous value, which differs from target
+        # (checked above), so slot >= 2 and by_subscript's range check cannot fire.
         slot = arr.index(target) + 1
-        sigma = gen.sets(out[-1]).by_subscript(slot)
+        sigma = gen.sets(sigma).instructions[slot - 2]
         out.append(sigma)
-        arr = act(sigma, arr)
+        arr = tuple(map(arr.__getitem__, sigma.gather()))
     return tuple(out)
 
 
@@ -367,22 +370,19 @@ def check_order_generator(og: OrderGenerator) -> list:
     """
     ordering = materialize(og)
     t = og.spec.diameter
-    n_rows = len(og.cells)
     out: list = []
-    windows: list[list[int | None]] = [[None] * (t - 1) for _ in range(t)]
-    for i in range(2, n_rows + 1):
+    # windows[j][s - 1] is where the trailing run of s instructions in column
+    # j sends point 1, for s up to min(t - 1, rows so far - 1).
+    windows: list[list[int]] = [[] for _ in range(t)]
+    for i, row in enumerate(og.cells[1:], start=2):
         limit = min(t - 1, i - 1)
-        for j in range(t):
-            images = og.cells[i - 1][j].images  # materialize checked each cell fits its column
-            prev = windows[j]
-            new: list[int | None] = [None] * (t - 1)
-            if t > 1:
-                new[0] = images[0]
-                for s in range(2, limit + 1):
-                    new[s - 1] = images[prev[s - 2] - 1]
-            windows[j] = new
-        for s in range(1, limit + 1):
-            count = sum(1 for j in range(t) if windows[j][s - 1] == 1)
+        for j, sigma in enumerate(row):
+            images = sigma.images  # materialize checked each cell fits its column
+            windows[j] = [images[0], *[images[p - 1] for p in windows[j][: limit - 1]]]
+        for s, points in enumerate(zip(*windows), start=1):
+            if s > limit:  # only when t == 1: no gap lies below the diameter
+                break
+            count = points.count(1)
             if count >= s:
                 out.append(RadioViolation(row=i, gap=s, shared=count))
     out.extend(repetition_violations(ordering.rows))

@@ -3,7 +3,9 @@
 Throughout the package a product written compose(a, b) means "apply a, then b",
 i.e. the function b o a.  Permutations act on arrangements (tuples of n distinct
 values) by position: the value landing in slot p is the one previously in slot
-inverse(p).
+inverse(p).  Each permutation builds its gather, the 0-based slots inverse(p) - 1
+that the action reads, once and keeps it, so acting is one tuple built by index
+lookups; the instruction layer's decode and encode loops read it directly.
 """
 
 from __future__ import annotations
@@ -18,14 +20,18 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 class Permutation:
     """Bijection of {1..n}, stored in one-line notation (images[i-1] = image of i)."""
 
-    __slots__ = ("images", "_inv")
+    __slots__ = ("images", "_inv", "_gather")
 
     def __init__(self, images):
-        images = tuple(int(x) for x in images)
+        images = tuple(images)
+        for x in images:
+            if type(x) is not int:  # not bool, not 1.9, not '2'
+                raise ShapeError(f"permutation entry {x!r} is not an integer")
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ShapeError(f"not a permutation of 1..{len(images)}: {images}")
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_inv", None)
+        object.__setattr__(self, "_gather", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
@@ -48,6 +54,15 @@ class Permutation:
             inv = Permutation(out)
             object.__setattr__(self, "_inv", inv)
         return inv
+
+    def gather(self) -> tuple[int, ...]:
+        """The 0-based slots act reads from: slot p of the result takes the
+        value in slot gather()[p - 1] = inverse(p) - 1.  Built once."""
+        gather = self._gather
+        if gather is None:
+            gather = tuple(i - 1 for i in self.inverse().images)
+            object.__setattr__(self, "_gather", gather)
+        return gather
 
     def is_identity(self) -> bool:
         return all(image == i for i, image in enumerate(self.images, start=1))
@@ -123,10 +138,10 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
 
 
 def act(sigma: Permutation, arrangement: tuple) -> tuple:
-    """Rearrange a tuple: slot p of the result takes the value from slot inverse(p)."""
+    """Rearrange a tuple: slot p of the result takes the value from slot
+    inverse(p), read through sigma's cached gather."""
     if len(arrangement) != sigma.n:
         raise ShapeError(
             f"arrangement of length {len(arrangement)} under permutation of {sigma.n}"
         )
-    inv = sigma.inverse().images
-    return tuple(arrangement[inv[p] - 1] for p in range(sigma.n))
+    return tuple(map(arrangement.__getitem__, sigma.gather()))

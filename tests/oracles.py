@@ -9,9 +9,10 @@ from __future__ import annotations
 import itertools
 import random
 
+from hamming_radio.errors import MembershipError, ShapeError
 from hamming_radio.graphs import shared_coordinates
 from hamming_radio.instructions import GeneratorKind, builtin_generator
-from hamming_radio.perms import act, identity
+from hamming_radio.perms import Permutation, act, identity
 from hamming_radio.search import _depth_first, _k34_successors
 from hamming_radio.verify import RadioViolation
 
@@ -356,3 +357,94 @@ def oracle_search_ordering(sizes, node_budget, seed=None, symmetry_fixing=True):
 
     status = extend() or "exhausted"
     return status, nodes, deepest, tuple(rows) if status == "found" else None
+
+
+# The instruction layer's decode and encode as they stood before permutations
+# cached their gather and instruction sets mapped images to subscripts: an
+# inverse permutation built per membership test and a generator expression per
+# action.  Copied verbatim, except that they call each other instead of the
+# package's act and `in`.
+
+
+def oracle_act(sigma, arrangement):
+    """Rearrange a tuple: slot p of the result takes the value from slot inverse(p)."""
+    if len(arrangement) != sigma.n:
+        raise ShapeError(
+            f"arrangement of length {len(arrangement)} under permutation of {sigma.n}"
+        )
+    inv = sigma.inverse().images
+    return tuple(arrangement[inv[p] - 1] for p in range(sigma.n))
+
+
+def oracle_subscript_of(iset, sigma):
+    """Recover k with sigma = f_k.  Any member sends its subscript to 1."""
+    if sigma.n != iset.n:
+        raise MembershipError("permutation size does not match this instruction set")
+    k = sigma.inverse()(1)
+    if k < 2 or iset.instructions[k - 2] != sigma:
+        raise MembershipError(f"{sigma!r} is not a member of this instruction set")
+    return k
+
+
+def oracle_contains(iset, sigma):
+    if not isinstance(sigma, Permutation):
+        return False
+    try:
+        oracle_subscript_of(iset, sigma)
+    except MembershipError:
+        return False
+    return True
+
+
+def oracle_arrangement_trace(instructions, gen):
+    """Arrangements after each instruction, validating column membership."""
+    instrs = tuple(instructions)
+    n = gen.n
+    if len(instrs) < 2:
+        raise MembershipError("an instruction column needs at least two rows")
+    if instrs[0].n != n or not instrs[0].is_identity():
+        raise MembershipError("row 1 of an instruction column must be the identity")
+    arr = tuple(range(1, n + 1))
+    trace = [arr]
+    for pos in range(2, len(instrs) + 1):
+        sigma = instrs[pos - 1]
+        iset = gen.sets(instrs[pos - 2])
+        if pos == 2:
+            if sigma != iset.by_subscript(2):
+                raise MembershipError("row 2 of an instruction column must be f_2")
+        elif not oracle_contains(iset, sigma):
+            raise MembershipError(
+                f"instruction at position {pos} is not offered by the generator"
+            )
+        arr = oracle_act(sigma, arr)
+        trace.append(arr)
+    return trace
+
+
+def oracle_recover_instructions(values, gen):
+    """Encode a value column as instructions; inverse of build_column.
+
+    At each position the next value sits in some slot k of the current
+    arrangement, and f_k is the unique member moving slot k to the front.
+    """
+    vals = tuple(int(v) for v in values)
+    n = gen.n
+    if len(vals) < 2:
+        raise MembershipError("a value column needs at least two rows")
+    if vals[0] != 1 or vals[1] != 2:
+        raise MembershipError(f"value column must start 1, 2; got {vals[:2]}")
+    for v in vals:
+        if not 1 <= v <= n:
+            raise MembershipError(f"value {v} outside 1..{n}")
+    for a, b in zip(vals, vals[1:]):
+        if a == b:
+            raise MembershipError("consecutive values in a column must differ")
+    arr = tuple(range(1, n + 1))
+    out = [identity(n)]
+    for pos in range(2, len(vals) + 1):
+        target = vals[pos - 1]
+        slot = arr.index(target) + 1
+        sigma = gen.sets(out[-1]).by_subscript(slot)
+        out.append(sigma)
+        arr = oracle_act(sigma, arr)
+    return tuple(out)

@@ -51,6 +51,9 @@ def test_product_derived_quantities():
         [(3.9, 2.5)],
         [Factor(3.5, 2)],
         [(3, True)],
+        [(3, 2, 7)],
+        [(3,)],
+        [3],
     ],
 )
 def test_bad_specs_rejected(factors):

@@ -26,12 +26,17 @@ from hamming_radio.instructions import (
     run_fixes_one,
     subscript_string,
 )
-from hamming_radio.perms import Permutation, identity
+from hamming_radio.perms import Permutation, act, identity
 from hamming_radio.verify import check_ordering
 
 from .oracles import (
+    oracle_act,
+    oracle_arrangement_trace,
+    oracle_contains,
     oracle_recency_fixing_count,
+    oracle_recover_instructions,
     oracle_run_fixes_one,
+    oracle_subscript_of,
     random_value_column,
     seeded,
 )
@@ -150,6 +155,105 @@ def test_recover_instructions_validation():
         recover_instructions([1, 2, 2], gen)  # consecutive repeat
     with pytest.raises(MembershipError):
         recover_instructions([1, 2, 4], gen)  # out of range
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ([1, 2.9, 3.1, 1], "value 2.9 is not an integer"),
+        ([1, 2, "x"], "value 'x' is not an integer"),
+        ([1, True, 3], "value True is not an integer"),
+    ],
+)
+def test_recover_instructions_refuses_inexact_values(values, message):
+    with pytest.raises(MembershipError) as err:
+        recover_instructions(values, builtin_generator("lru", 3))
+    assert str(err.value) == message
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def _builtin_members(n):
+    """Every member of every built-in set over 1..n, sorted by images."""
+    previous = [identity(n), *builtin_generator("transposition", n).sets(identity(n))]
+    pool = {
+        sigma
+        for kind in ALL_KINDS
+        for prev in previous
+        for sigma in builtin_generator(kind, n).sets(prev)
+    }
+    return sorted(pool, key=lambda p: p.images)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_decode_and_encode_match_the_reference_copies(kind, n):
+    """recover_instructions, arrangement_trace, act and set membership agree
+    with the reference copies in tests/oracles.py, which act through a fresh
+    inverse and test membership through subscript_of: equal results on valid
+    columns, and the same exception type and message on corrupted ones.
+    Every set for n >= 3 holds a 3-cycle, so a gather read from the images
+    instead of the inverse images would fail here."""
+    gen = builtin_generator(kind, n)
+    other_size = builtin_generator(kind, n + 1).sets(identity(n + 1)).by_subscript(2)
+    members = _builtin_members(n)
+    rng = seeded(100 * n + len(kind.value))
+    for _ in range(15):
+        column = random_value_column(n, rng.randint(2, 200), rng)
+        instructions = recover_instructions(column, gen)
+        assert instructions == oracle_recover_instructions(column, gen)
+        trace = arrangement_trace(instructions, gen)
+        assert trace == oracle_arrangement_trace(instructions, gen)
+        for pos in range(2, len(instructions) + 1):
+            sigma, iset = instructions[pos - 1], gen.sets(instructions[pos - 2])
+            assert act(sigma, trace[pos - 2]) == oracle_act(sigma, trace[pos - 2])
+            foreign = rng.choice([p for p in members if p not in iset])
+            for probe in (sigma, foreign, other_size, identity(n)):
+                assert (probe in iset) == oracle_contains(iset, probe)
+                expected = _outcome(oracle_subscript_of, iset, probe)
+                assert _outcome(iset.subscript_of, probe) == expected
+            assert ("f2" in iset) == oracle_contains(iset, "f2")
+
+        pos = rng.randint(3, max(3, len(instructions)))
+        offered = gen.sets(instructions[pos - 2]) if pos <= len(instructions) else None
+        corrupted = [
+            (1, instructions[1]),  # row 1 not the identity
+            (2, gen.sets(identity(n)).by_subscript(3)),  # row 2 not f_2
+            (1, other_size),
+            (2, other_size),
+            (1, "id"),
+            (2, "f2"),
+        ]
+        if offered is not None:  # another set's member, another size, not a Permutation
+            corrupted += [
+                (pos, rng.choice([p for p in members if p not in offered])),
+                (pos, other_size),
+                (pos, instructions[pos - 1].images),  # not a Permutation
+            ]
+        for row, bad in corrupted:
+            broken = list(instructions)
+            broken[row - 1] = bad
+            got = _outcome(arrangement_trace, broken, gen)
+            assert got[0] != "returned"
+            assert got == _outcome(oracle_arrangement_trace, broken, gen)
+
+        wrong_values = [
+            column[:1],
+            (2, *column[1:]),
+            (1, 3, *column[2:]),
+            (*column, n + 1),
+            (*column, column[-1]),
+        ]
+        for values in wrong_values:
+            got = _outcome(recover_instructions, values, gen)
+            assert got[0] is MembershipError
+            assert got == _outcome(oracle_recover_instructions, values, gen)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -317,3 +421,14 @@ def test_check_order_generator_matches_ordering_check():
         ]
         og = make_order_generator(spec, list(zip(*cells_by_column)), gen)
         assert check_order_generator(og) == check_ordering(materialize(og))
+    # one column, and columns of two sizes
+    for factors in ([(3, 1)], [(3, 2), (4, 2)]):
+        spec = make_graph_spec(factors)
+        gens = [builtin_generator("lru", size) for size in spec.column_sizes()]
+        for _ in range(20):
+            cells_by_column = [
+                recover_instructions(random_value_column(g.n, spec.num_vertices, rng), g)
+                for g in gens
+            ]
+            og = make_order_generator(spec, list(zip(*cells_by_column)), gens)
+            assert check_order_generator(og) == check_ordering(materialize(og))

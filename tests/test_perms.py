@@ -26,6 +26,21 @@ def test_construction_and_validation():
         p(4)
 
 
+@pytest.mark.parametrize(
+    "images,message",
+    [
+        ([1.9, 2.2], "permutation entry 1.9 is not an integer"),
+        (["2", "1"], "permutation entry '2' is not an integer"),
+        ([1, "x"], "permutation entry 'x' is not an integer"),
+        ([True, 2], "permutation entry True is not an integer"),
+    ],
+)
+def test_entries_must_be_exact_integers(images, message):
+    with pytest.raises(ShapeError) as err:
+        Permutation(images)
+    assert str(err.value) == message
+
+
 def test_immutability_and_equality():
     p = Permutation([2, 1])
     with pytest.raises(AttributeError):
@@ -78,6 +93,34 @@ def test_act_definition_and_functoriality():
         assert act(compose(sigma, tau), arr) == act(tau, act(sigma, arr))
     with pytest.raises(ShapeError):
         act(identity(3), (1, 2))
+
+
+def test_act_builds_each_gather_once(monkeypatch):
+    calls = []
+    inverse = Permutation.inverse
+
+    def counting_inverse(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Permutation, "inverse", counting_inverse)
+    sigma = Permutation([2, 3, 1])
+    for _ in range(5):
+        assert act(sigma, ("a", "b", "c")) == ("c", "a", "b")
+    assert calls == [sigma]
+
+
+def test_cached_gather_keeps_permutations_immutable_and_equal():
+    cached, fresh = Permutation([3, 1, 2]), Permutation([3, 1, 2])
+    act(cached, (1, 2, 3))
+    with pytest.raises(AttributeError):
+        setattr(cached, "_gather", (0, 1, 2))
+    with pytest.raises(AttributeError):
+        setattr(fresh, "images", (1, 2, 3))
+    assert cached.gather() == (1, 2, 0) and fresh._gather is None
+    assert cached == fresh and fresh == cached
+    assert hash(cached) == hash(fresh)
+    assert repr(cached) == repr(fresh) == "Permutation([3, 1, 2])"
 
 
 def test_act_brings_slot_k_to_front():
