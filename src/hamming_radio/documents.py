@@ -150,6 +150,8 @@ def parse_instruction_rows(
         raise DocumentError(f"instruction matrix has {n} rows, spec needs {spec.num_vertices_text}")
     generators = tuple(generators)
     t = spec.diameter
+    if len(generators) != t:
+        raise DocumentError(f"need one generator per column ({t}), got {len(generators)}")
     for lineno, toks in enumerate(lines, start=1):
         if len(toks) != t:
             raise DocumentError(f"row {lineno} has {len(toks)} entries, expected {t}")

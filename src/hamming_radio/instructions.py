@@ -48,6 +48,9 @@ class InstructionSet:
         object.__setattr__(self, "instructions", instrs)
         if not instrs:
             raise MembershipError("instruction set cannot be empty")
+        for sigma in instrs:
+            if not isinstance(sigma, Permutation):
+                raise MembershipError(f"instruction {sigma!r} is not a Permutation")
         n = instrs[0].n
         if len(instrs) != n - 1:
             raise MembershipError(f"expected {n - 1} instructions for n={n}, got {len(instrs)}")
@@ -70,6 +73,8 @@ class InstructionSet:
 
     def subscript_of(self, sigma: Permutation) -> int:
         """Recover k with sigma = f_k, looked up by sigma's images."""
+        if not isinstance(sigma, Permutation):
+            raise MembershipError(f"{sigma!r} is not a member of this instruction set")
         if sigma.n != self.n:
             raise MembershipError("permutation size does not match this instruction set")
         k = self._subscripts.get(sigma.images)
@@ -119,6 +124,8 @@ class InstructionGenerator:
             return _ltu_set(self.n)
         if self.kind is GeneratorKind.TRANSPOSITION:
             return _recency_set(self.n, 1)
+        if not isinstance(previous, Permutation):
+            raise MembershipError(f"previous instruction {previous!r} is not a Permutation")
         if previous.n != self.n:
             raise MembershipError("previous instruction permutes a different 1..n")
         return _recency_set(self.n, previous.inverse()(1))
@@ -184,7 +191,7 @@ def arrangement_trace(
     n = gen.n
     if len(instrs) < 2:
         raise MembershipError("an instruction column needs at least two rows")
-    if instrs[0].n != n or not instrs[0].is_identity():
+    if instrs[0] != identity(n):
         raise MembershipError("row 1 of an instruction column must be the identity")
     if instrs[1] != gen.sets(instrs[0]).instructions[0]:
         raise MembershipError("row 2 of an instruction column must be f_2")
@@ -309,11 +316,13 @@ def subscript_string(run: Iterable[Permutation]) -> str:
 @dataclass(frozen=True)
 class OrderGenerator:
     """An N x t matrix of instructions, one column per graph column, plus the
-    generator family each column draws from."""
+    generator family each column draws from.  It is decoded and checked once,
+    when built: build_column's errors raise here, and `ordering` keeps the result."""
 
     spec: GraphSpec
     cells: tuple[tuple[Permutation, ...], ...]
     generators: tuple[InstructionGenerator, ...]
+    ordering: Ordering = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cells = tuple(tuple(row) for row in self.cells)
@@ -331,11 +340,15 @@ class OrderGenerator:
         if len(gens) != t:
             raise ShapeError(f"need one generator per column ({t}), got {len(gens)}")
         for col, gen in enumerate(gens, start=1):
+            if not isinstance(gen, InstructionGenerator):
+                raise ShapeError(f"column {col} generator {gen!r} is not an InstructionGenerator")
             if gen.n != self.spec.column_size(col):
                 raise ShapeError(
                     f"column {col} takes values 1..{self.spec.column_size(col)}, "
                     f"generator is over 1..{gen.n}"
                 )
+        columns = [build_column(col, gen) for col, gen in zip(zip(*cells), gens)]
+        object.__setattr__(self, "ordering", Ordering(self.spec, tuple(zip(*columns))))
 
 
 def make_order_generator(
@@ -345,16 +358,12 @@ def make_order_generator(
 ) -> OrderGenerator:
     if isinstance(generators, InstructionGenerator):
         generators = (generators,) * spec.diameter
-    return OrderGenerator(spec, tuple(tuple(r) for r in cells), tuple(generators))
+    return OrderGenerator(spec, cells, generators)
 
 
 def materialize(og: OrderGenerator) -> Ordering:
-    """Decode every column and assemble the resulting ordering."""
-    columns = []
-    for j in range(og.spec.diameter):
-        col = tuple(row[j] for row in og.cells)
-        columns.append(build_column(col, og.generators[j]))
-    return Ordering(og.spec, tuple(zip(*columns)))
+    """The decoded ordering, which the OrderGenerator built when it was made."""
+    return og.ordering
 
 
 def check_order_generator(og: OrderGenerator) -> list:
@@ -363,12 +372,11 @@ def check_order_generator(og: OrderGenerator) -> list:
     For each row i and gap s below the diameter, counts the columns whose
     trailing run of s instructions fixes 1; each such column is a shared
     coordinate between rows i-s and i, so counts of s or more are violations.
-    Repeated rows are found on the decoded ordering, which is materialized
-    first.  The result matches check_ordering on the decoded ordering exactly;
+    Repeated rows are found on og.ordering, decoded and checked when og was
+    built.  The result matches check_ordering on the decoded ordering exactly;
     the window counts are kept apart from check_ordering on purpose, as an
     independent cross-check of it.
     """
-    ordering = materialize(og)
     t = og.spec.diameter
     out: list = []
     # windows[j][s - 1] is where the trailing run of s instructions in column
@@ -377,7 +385,7 @@ def check_order_generator(og: OrderGenerator) -> list:
     for i, row in enumerate(og.cells[1:], start=2):
         limit = min(t - 1, i - 1)
         for j, sigma in enumerate(row):
-            images = sigma.images  # materialize checked each cell fits its column
+            images = sigma.images  # decoding og checked each cell fits its column
             windows[j] = [images[0], *[images[p - 1] for p in windows[j][: limit - 1]]]
         for s, points in enumerate(zip(*windows), start=1):
             if s > limit:  # only when t == 1: no gap lies below the diameter
@@ -385,5 +393,5 @@ def check_order_generator(og: OrderGenerator) -> list:
             count = points.count(1)
             if count >= s:
                 out.append(RadioViolation(row=i, gap=s, shared=count))
-    out.extend(repetition_violations(ordering.rows))
+    out.extend(repetition_violations(og.ordering.rows))
     return out

@@ -167,3 +167,10 @@ def test_parse_instruction_rows_errors(golden_k32):
             parse_instruction_rows(f"id\nf2\n{token}\n", spec, generators)
     with pytest.raises(DocumentError):
         parse_instruction_rows("id\nf2\nf9\n", spec, generators)  # subscript out of range
+    # the generator count is checked before any token is read
+    two_columns = make_graph_spec([(3, 2)])
+    matrix = "id id\nf2 fx\n" + "f2 f2\n" * 7  # the bad token is never reached
+    for count in (1, 3):
+        with pytest.raises(DocumentError) as err:
+            parse_instruction_rows(matrix, two_columns, (gen,) * count)
+        assert str(err.value) == f"need one generator per column (2), got {count}"

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from hamming_radio import instructions
 from hamming_radio.errors import (
     BudgetExceededError,
     MembershipError,
@@ -47,6 +48,9 @@ ALL_KINDS = (
     GeneratorKind.LTU,
     GeneratorKind.HISTORY_DEPENDENT,
 )
+ROW_1_MESSAGE = "row 1 of an instruction column must be the identity"
+LRU3 = builtin_generator(GeneratorKind.LRU, 3)
+LRU3_F2, LRU3_F3 = LRU3.sets(identity(3))
 
 
 def test_instruction_set_validation():
@@ -112,6 +116,50 @@ def test_history_dependent_sets():
     after_f3 = gen.sets(f3)
     # previous front came from slot 3: f_2 cycles 1 -> 3 -> 2 -> 1, f_3 = (13)
     assert [s.images for s in after_f3] == [(3, 1, 2), (3, 2, 1)]
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        pytest.param(
+            lambda: arrangement_trace(["id", LRU3_F2], LRU3),
+            MembershipError,
+            ROW_1_MESSAGE,
+            id="trace-row-1-string",
+        ),
+        pytest.param(
+            lambda: LRU3.sets(identity(3)).subscript_of("f2"),
+            MembershipError,
+            "'f2' is not a member of this instruction set",
+            id="subscript-of-string",
+        ),
+        pytest.param(
+            lambda: InstructionSet((1, 2)),
+            MembershipError,
+            "instruction 1 is not a Permutation",
+            id="set-of-ints",
+        ),
+        pytest.param(
+            lambda: builtin_generator("history", 3).sets("f2"),
+            MembershipError,
+            "previous instruction 'f2' is not a Permutation",
+            id="history-after-string",
+        ),
+        pytest.param(
+            lambda: make_order_generator(
+                make_graph_spec([(3, 1)]), [(identity(3),), (LRU3_F2,), (LRU3_F3,)], ("lru",)
+            ),
+            ShapeError,
+            "column 1 generator 'lru' is not an InstructionGenerator",
+            id="generator-string",
+        ),
+    ],
+)
+def test_foreign_arguments_raise_the_layer_errors(call, error, message):
+    """Arguments of the wrong type get the layer's own error, not an AttributeError."""
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_generator_construction_errors():
@@ -241,7 +289,10 @@ def test_decode_and_encode_match_the_reference_copies(kind, n):
             broken[row - 1] = bad
             got = _outcome(arrangement_trace, broken, gen)
             assert got[0] != "returned"
-            assert got == _outcome(oracle_arrangement_trace, broken, gen)
+            if (row, bad) == (1, "id"):  # the reference copy raises a bare AttributeError
+                assert got == (MembershipError, ROW_1_MESSAGE)
+            else:
+                assert got == _outcome(oracle_arrangement_trace, broken, gen)
 
         wrong_values = [
             column[:1],
@@ -395,19 +446,46 @@ def test_order_generator_validation():
             [(identity(3),)] * 4,
             gen,  # size-3 generator on a size-4 column
         )
+    # the constructor decodes, so an invalid matrix is never built
+    refused = [
+        ([("id",), (f2,), (f3,)], ROW_1_MESSAGE),
+        ([(identity(3),), (f3,), (f2,)], "row 2 of an instruction column must be f_2"),
+        (
+            [(identity(3),), (f2,), (identity(3),)],
+            "instruction at position 3 is not offered by the generator",
+        ),
+    ]
+    for cells, message in refused:
+        with pytest.raises(MembershipError) as err:
+            make_order_generator(spec, cells, gen)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_golden_ordering_decodes_as_order_generator(golden_k34, kind):
+def test_golden_ordering_decodes_as_order_generator(golden_k34, kind, monkeypatch):
     """Dual route on the reference data: recover each column's instructions,
-    rebuild the ordering, and check the matrix on the instruction side."""
+    rebuild the ordering, and check the matrix on the instruction side.  The
+    matrix is decoded once, when it is built, and never again."""
     gen = builtin_generator(kind, 3)
     columns = list(zip(*golden_k34.rows))
     cells_by_column = [recover_instructions(col, gen) for col in columns]
     cells = list(zip(*cells_by_column))
+    calls = []
+    real = instructions.build_column
+
+    def counting(column, generator):
+        calls.append(generator)
+        return real(column, generator)
+
+    monkeypatch.setattr(instructions, "build_column", counting)
     og = make_order_generator(golden_k34.spec, cells, gen)
     assert materialize(og).rows == golden_k34.rows
     assert check_order_generator(og) == []
+    assert len(calls) == golden_k34.spec.diameter
+    assert materialize(og) is materialize(og)
+    twin = make_order_generator(golden_k34.spec, cells, gen)
+    assert twin == og and hash(twin) == hash(og)
+    assert "ordering" not in repr(og)
 
 
 def test_check_order_generator_matches_ordering_check():
