@@ -168,6 +168,26 @@ class SegmentSearchResult:
     nodes_explored: int
 
 
+def _share_need(allowed, recent) -> list[int]:
+    """need[col]: the fewest shares with `recent` that columns col.. spend,
+    whatever values from allowed[col..] they take; the last entry is 0.
+
+    A column's fewest is the minimum, over its allowed values, of how many
+    recent rows hold that value in it.  Columns are independent, so need is a
+    suffix sum.  A column with more allowed values than there are recent rows
+    has a value no recent row holds (each row holds one), so it adds 0
+    without a count.
+    """
+    need = [0]
+    for col in range(len(allowed) - 1, -1, -1):
+        fewest = 0
+        if len(allowed[col]) <= len(recent):
+            held = [prev[col] for prev in recent]
+            fewest = min(map(held.count, allowed[col]))
+        need.append(need[-1] + fewest)
+    return need[::-1]
+
+
 def _candidate_rows(sizes, prev_rows):
     """Yield canonical next rows that keep the window rule with prev_rows.
 
@@ -178,6 +198,16 @@ def _candidate_rows(sizes, prev_rows):
     (same size, equal values in every previous row) never takes a value below
     the neighbour's.  Column-by-column DFS, pruning as soon as a row shares
     too much, before the row is whole, so verify's window kernel cannot serve.
+
+    The DFS also prunes on the total share budget, sum(left).  Each recent
+    row that holds a column's value spends one share, no share may go below
+    zero, and columns c.. spend at least need[c] shares whatever allowed
+    values they take (_share_need).  So once columns ..c-1 are placed, a
+    partial row whose remaining budget is below need[c] has no completion,
+    and its subtree is cut.  The tie floor only removes values from a column,
+    which cannot lower that column's minimum, so need stays a lower bound.
+    Only subtrees that would yield nothing are cut: the rows and their order
+    are those of the plain DFS.
     """
     t = len(sizes)
     allowed: list[list[int]] = []
@@ -195,9 +225,10 @@ def _candidate_rows(sizes, prev_rows):
     recent = prev_rows[max(0, len(prev_rows) - (t - 1)) :]
     # shares the new row may still take with each recent row, oldest first
     left = list(range(len(recent) - 1, -1, -1))
+    need = _share_need(allowed, recent)
     row: list[int] = []
 
-    def extend(col: int):
+    def extend(col: int, budget: int):
         if col == t:
             yield tuple(row)
             return
@@ -213,14 +244,14 @@ def _candidate_rows(sizes, prev_rows):
                     if left[p] < 0:
                         ok = False
                         break
-            if ok:
+            if ok and budget - len(bumped) >= need[col + 1]:
                 row.append(value)
-                yield from extend(col + 1)
+                yield from extend(col + 1, budget - len(bumped))
                 row.pop()
             for p in bumped:
                 left[p] += 1
 
-    yield from extend(0)
+    yield from extend(0, sum(left))
 
 
 def segment_extension_search(spec: GraphSpec, depth: int) -> SegmentSearchResult:
@@ -244,6 +275,12 @@ def segment_extension_search(spec: GraphSpec, depth: int) -> SegmentSearchResult
     c-1 is enough.  Hence the reduced search reaches exactly the segment
     lengths the unreduced one does: an empty search is a genuine impossibility
     proof, and dead_depth is the same as without the reduction.
+
+    Rows are built column by column under a share-budget bound
+    (_candidate_rows): a partial row is cut once the shares it may still take
+    with the recent rows fall below the fewest its unfilled columns must
+    spend.  Only partial rows with no completion are cut, so nodes_explored
+    and dead_depth are those of the unbounded column DFS.
     """
     if depth < 2:
         raise SpecError(f"segment depth must be at least 2, got {depth}")

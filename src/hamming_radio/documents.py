@@ -152,6 +152,9 @@ def parse_instruction_rows(
     t = spec.diameter
     if len(generators) != t:
         raise DocumentError(f"need one generator per column ({t}), got {len(generators)}")
+    for col, gen in enumerate(generators, start=1):
+        if not isinstance(gen, InstructionGenerator):
+            raise DocumentError(f"column {col} generator {gen!r} is not an InstructionGenerator")
     for lineno, toks in enumerate(lines, start=1):
         if len(toks) != t:
             raise DocumentError(f"row {lineno} has {len(toks)} entries, expected {t}")

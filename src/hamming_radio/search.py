@@ -354,7 +354,7 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
             if interior and not free & (reach[w][new_step] ^ (1 << succ[w][new_step][col])):
                 continue  # placing w would strand the walk one row later
             out.append((col, new_step, w))
-        if rng is not None:
+        if rng is not None and len(out) > 1:  # a shorter list would draw no random bits
             rng.shuffle(out)
         return out
 

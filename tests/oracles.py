@@ -231,6 +231,63 @@ def oracle_segment_search(sizes, depth):
     return False, None, deepest, nodes
 
 
+def oracle_candidate_rows(sizes, prev_rows):
+    """bounds._candidate_rows before it pruned on the share budget.
+
+    Yields canonical next rows that keep the window rule with prev_rows.
+
+    The row g back may share at most g - 1 coordinates with the new row for
+    g < t, the column count; rows t or more back constrain nothing.
+    Canonical form: a column may repeat any value already used in it, or
+    introduce the smallest unused value.  A column tied to its left neighbour
+    (same size, equal values in every previous row) never takes a value below
+    the neighbour's.  Column-by-column DFS, pruning as soon as a row shares
+    too much, before the row is whole, so verify's window kernel cannot serve.
+    """
+    t = len(sizes)
+    allowed: list[list[int]] = []
+    for col in range(t):
+        used = sorted({row[col] for row in prev_rows})
+        unused = [v for v in range(1, sizes[col] + 1) if v not in used]
+        allowed.append(used + unused[:1])
+    tied = [
+        col > 0
+        and sizes[col] == sizes[col - 1]
+        and all(row[col] == row[col - 1] for row in prev_rows)
+        for col in range(t)
+    ]
+
+    recent = prev_rows[max(0, len(prev_rows) - (t - 1)) :]
+    # shares the new row may still take with each recent row, oldest first
+    left = list(range(len(recent) - 1, -1, -1))
+    row: list[int] = []
+
+    def extend(col: int):
+        if col == t:
+            yield tuple(row)
+            return
+        for value in allowed[col]:
+            if tied[col] and value < row[col - 1]:
+                continue
+            bumped = []
+            ok = True
+            for p, prev in enumerate(recent):
+                if prev[col] == value:
+                    left[p] -= 1
+                    bumped.append(p)
+                    if left[p] < 0:
+                        ok = False
+                        break
+            if ok:
+                row.append(value)
+                yield from extend(col + 1)
+                row.pop()
+            for p in bumped:
+                left[p] += 1
+
+    yield from extend(0)
+
+
 def oracle_k34_transitions():
     """The reduced K_3^4 walk's transitions, decoded with the LRU instructions.
 

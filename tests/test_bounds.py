@@ -12,6 +12,7 @@ from hamming_radio.bounds import (
     distinct_column_profile,
     factor_threshold,
     _candidate_rows,
+    _share_need,
     segment_extension_search,
 )
 from hamming_radio.errors import NotAtBoundaryError, ShapeError, SpecError, TooLargeError
@@ -20,6 +21,7 @@ from hamming_radio.verify import Ordering
 
 from .oracles import (
     oracle_boundary_violations,
+    oracle_candidate_rows,
     oracle_distinct_columns,
     oracle_segment_search,
     oracle_shared,
@@ -205,6 +207,80 @@ def test_segment_search_extensible_proves_nothing():
 def test_candidate_rows_tie_rule(sizes, prev_rows, expected):
     # two columns: only the last row constrains, and it may share nothing
     assert list(_candidate_rows(sizes, prev_rows)) == expected
+
+
+def _canonical_prefixes(spec, max_rows, cap):
+    """Prefixes of the segment search's tree, breadth first from the pinned
+    rows, of at most max_rows rows: the first cap of them."""
+    sizes = spec.column_sizes()
+    level = [[spec.constant_vertex(1), spec.constant_vertex(2)]]
+    out = []
+    while level and len(out) < cap:
+        out.extend(level[: cap - len(out)])
+        if len(level[0]) == max_rows:
+            break
+        level = [prefix + [row] for prefix in level for row in oracle_candidate_rows(sizes, prefix)]
+    return out
+
+
+# (factors, prefixes checked): every prefix of up to 6 rows, or the first 1,500
+BUDGET_PRUNE_CASES = [
+    ([(3, 2)], 186),
+    ([(3, 3)], 74),
+    ([(4, 3)], 1_500),
+    ([(2, 2), (3, 2)], 1),
+    ([(3, 1), (4, 4)], 1_500),
+    ([(2, 1), (3, 2), (5, 2)], 16),
+    ([(4, 10)], 25),
+    ([(3, 2), (4, 7)], 22),
+    ([(3, 4), (4, 2)], 8),
+    ([(5, 4)], 1_500),
+    ([(2, 5)], 1),
+    ([(3, 1), (4, 9)], 29),
+    ([(2, 3), (3, 3), (4, 3)], 1),
+]
+
+
+@pytest.mark.parametrize("factors,count", BUDGET_PRUNE_CASES)
+def test_candidate_rows_match_unpruned_oracle(factors, count):
+    # the share-budget prune cuts only subtrees that yield nothing: the same
+    # rows in the same order, at every prefix of the search's tree
+    spec = make_graph_spec(factors)
+    sizes = spec.column_sizes()
+    prefixes = _canonical_prefixes(spec, 6, 1_500)
+    assert len(prefixes) == count
+    for prefix in prefixes:
+        assert list(_candidate_rows(sizes, prefix)) == list(oracle_candidate_rows(sizes, prefix)), prefix
+
+
+def test_share_need_is_the_brute_force_minimum():
+    # need[col] is the fewest shares columns col.. spend over every choice of
+    # allowed values, and no row the search yields spends fewer
+    checked = positive = 0
+    for factors in ([(3, 3)], [(4, 3)], [(3, 4)], [(2, 1), (3, 1), (4, 2)], [(3, 2), (4, 2)]):
+        spec = make_graph_spec(factors)
+        sizes = spec.column_sizes()
+        t = len(sizes)
+        for prefix in _canonical_prefixes(spec, 5, 300):
+            allowed = []
+            for col, size in enumerate(sizes):
+                used = sorted({row[col] for row in prefix})
+                allowed.append(used + [v for v in range(1, size + 1) if v not in used][:1])
+            recent = prefix[-(t - 1) :]
+
+            def spent(values, start):
+                return sum(prev[col] == v for prev in recent for col, v in enumerate(values, start))
+
+            need = _share_need(allowed, recent)
+            assert len(need) == t + 1 and need[t] == 0
+            for col in range(t):
+                assert need[col] == min(spent(c, col) for c in itertools.product(*allowed[col:]))
+            for row in oracle_candidate_rows(sizes, prefix):
+                for col in range(t + 1):
+                    assert spent(row[col:], col) >= need[col]
+            checked += 1
+            positive += need[0] > 0
+    assert (checked, positive) == (458, 215)
 
 
 @pytest.mark.parametrize(

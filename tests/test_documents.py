@@ -174,3 +174,8 @@ def test_parse_instruction_rows_errors(golden_k32):
         with pytest.raises(DocumentError) as err:
             parse_instruction_rows(matrix, two_columns, (gen,) * count)
         assert str(err.value) == f"need one generator per column (2), got {count}"
+    # a generator entry that is not an InstructionGenerator is refused before its
+    # attributes are read
+    with pytest.raises(DocumentError) as err:
+        parse_instruction_rows("id\nf2\nf3\n", spec, ("lru",))
+    assert str(err.value) == "column 1 generator 'lru' is not an InstructionGenerator"

@@ -17,7 +17,8 @@ from hamming_radio.search import (
     search_k34_reduced,
     search_ordering,
 )
-from hamming_radio.verify import check_ordering, is_valid_ordering
+from hamming_radio.perms import Permutation
+from hamming_radio.verify import Ordering, check_ordering, is_valid_ordering, permute_column
 
 from .oracles import oracle_k34_transitions, oracle_k34_walk, oracle_search_ordering
 
@@ -319,6 +320,41 @@ def test_reduced_walk_matches_used_row_oracle(monkeypatch, seed, budget):
     outcome = search_k34_reduced(SearchConfig(node_budget=budget, seed=seed))
     got = (outcome.status.value, outcome.nodes_explored, outcome.max_depth_reached, left[0])
     assert got == oracle_k34_walk(budget, seed)
+
+
+def _normalized_at_row_1(ordering):
+    """Relabel each column so that rows 1 and 2 read all-1 and all-2."""
+    for col, (a, b) in enumerate(zip(ordering.rows[0], ordering.rows[1]), start=1):
+        images = [3, 3, 3]
+        images[a - 1], images[b - 1] = 1, 2
+        ordering = permute_column(ordering, col, Permutation(images))
+    return ordering
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_reduced_walk_children_accept_the_golden(monkeypatch, golden_k34, k34_spec, reverse):
+    """The bundled ordering, and its reverse, normalized at row 1, is a path of
+    the reduced walk: every row from 3 to 81 is among its level's children.
+    An exhausted walk is a proof only if no ordering falls outside them."""
+    rows = golden_k34.rows[::-1] if reverse else golden_k34.rows
+    target = _normalized_at_row_1(Ordering(k34_spec, rows))
+    path = [k34_spec.vertex_index(v) for v in target.rows]
+    accepted = []
+
+    def replay(rows, n_total, children, push, pop, *budgets):
+        assert rows == path[:2]
+        for w in path[2:]:
+            choice = next((c for c in children() if c[2] == w), None)
+            assert choice is not None, f"row {len(rows) + 1} is not a child"
+            push(choice)
+            accepted.append(w)
+        return SearchStatus.FOUND, len(accepted), len(rows), 0.0
+
+    monkeypatch.setattr(search, "_depth_first", replay)
+    outcome = search_k34_reduced()
+    assert len(accepted) == 79
+    assert outcome.status is SearchStatus.FOUND
+    assert outcome.ordering == target  # and _finish found it valid
 
 
 def test_search_imports_no_instruction_layer():
