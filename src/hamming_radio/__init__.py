@@ -10,14 +10,12 @@ and file formats.
 from .bounds import (
     BoundVerdict,
     BoundaryViolation,
-    DistinctColumnProfile,
     FactorBound,
     Gracefulness,
     SegmentSearchResult,
     bound_verdict,
     boundary_structure_check,
     distinct_column_count,
-    distinct_column_profile,
     factor_threshold,
     segment_extension_search,
 )

@@ -41,21 +41,6 @@ def distinct_column_count(ordering: Ordering, row: int, depth: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class DistinctColumnProfile:
-    """distinct_column_count at a fixed start row for depths 0..max."""
-
-    row: int
-    counts: tuple[int, ...]
-
-
-def distinct_column_profile(ordering: Ordering, row: int, max_depth: int) -> DistinctColumnProfile:
-    counts = tuple(
-        distinct_column_count(ordering, row, depth) for depth in range(max_depth + 1)
-    )
-    return DistinctColumnProfile(row=row, counts=counts)
-
-
 def factor_threshold(size: int) -> int:
     """Cumulative column count at which a factor of this size forbids gracefulness."""
     return 1 + size * (size * size - 1) // 6
@@ -282,6 +267,8 @@ def segment_extension_search(spec: GraphSpec, depth: int) -> SegmentSearchResult
     spend.  Only partial rows with no completion are cut, so nodes_explored
     and dead_depth are those of the unbounded column DFS.
     """
+    if type(depth) is not int:  # not bool, not 2.5, not '4'
+        raise SpecError(f"segment depth must be an integer, got {depth!r}")
     if depth < 2:
         raise SpecError(f"segment depth must be at least 2, got {depth}")
     sizes = spec.column_sizes()

@@ -177,7 +177,6 @@ def bound(spec_string: str, fmt: str) -> None:
 @click.option("--node-budget", type=int, default=SearchConfig.node_budget, show_default=True)
 @click.option("--time-budget", type=float, default=SearchConfig.time_budget, show_default=True)
 @click.option("--randomize", is_flag=True, help="Shuffle candidate order (needs --seed).")
-@click.option("--no-symmetry", is_flag=True, help="Do not pin the first two rows.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def search(
     spec_string: str | None,
@@ -187,16 +186,10 @@ def search(
     node_budget: int,
     time_budget: float,
     randomize: bool,
-    no_symmetry: bool,
     fmt: str,
 ) -> None:
     """Search for a consecutive radio labeling; writes the ordering when found."""
-    config = SearchConfig(
-        node_budget=node_budget,
-        time_budget=time_budget,
-        seed=seed,
-        symmetry_fixing=not no_symmetry,
-    )
+    config = SearchConfig(node_budget=node_budget, time_budget=time_budget, seed=seed)
     if randomize and seed is None:
         _fail(2, "randomized candidate order needs a seed")
     if seed is not None and not randomize:

@@ -26,7 +26,8 @@ class NotAtBoundaryError(RadioGraphError, ValueError):
 
 
 class MembershipError(RadioGraphError, ValueError):
-    """An instruction column or order generator violates its structural rules."""
+    """An instruction column or generator violates its structural rules, or
+    names no known generator kind."""
 
 
 class UnsupportedSizeError(RadioGraphError, ValueError):

@@ -109,7 +109,13 @@ class InstructionGenerator:
     n: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", GeneratorKind(self.kind))
+        try:
+            kind = GeneratorKind(self.kind)
+        except ValueError as exc:
+            raise MembershipError(str(exc)) from None
+        object.__setattr__(self, "kind", kind)
+        if type(self.n) is not int:  # not bool, not 3.0, not '3'
+            raise UnsupportedSizeError(f"instruction machinery needs an integer n, got {self.n!r}")
         if self.n < 3:
             raise UnsupportedSizeError(f"instruction machinery needs n >= 3, got {self.n}")
         if self.n * (self.n - 1) > ENUMERATION_CAP:

@@ -1,11 +1,12 @@
 """Backtracking searches for consecutive radio labelings.
 
-search_ordering runs a depth-first search over rows, pruning with the
-shared-coordinate window rule, so an exhausted symmetry-fixed search is a
-proof that no consecutive radio labeling exists.  It applies the rule to all
-candidates at once as bitsets: per-column value masks, built in one pass over
-the candidate list, give each recent row the set of candidates sharing k or
-more coordinates with it, and a level's children are the bits left over.
+search_ordering runs a depth-first search over rows from the pinned rows
+all-1 and all-2, pruning with the shared-coordinate window rule, so an
+exhausted search is a proof that no consecutive radio labeling exists.  It
+applies the rule to all candidates at once as bitsets: per-column value
+masks, built in one pass over the candidate list, give each recent row the
+set of candidates sharing k or more coordinates with it, and a level's
+children are the bits left over.
 Only the last rows' masks are kept, so memory does not grow with depth, and
 all candidates meet a row at once, which verify's window kernel cannot do.
 search_k34_reduced searches K_3^4 as a walk over step vectors in Z_3^4: each
@@ -44,9 +45,10 @@ class SearchConfig:
     node_budget: int = 50_000_000
     time_budget: float = 60.0
     seed: int | None = None
-    symmetry_fixing: bool = True
 
     def __post_init__(self) -> None:
+        if type(self.node_budget) is not int:  # not bool, not 2.5, not '5'
+            raise SpecError(f"node_budget must be an integer, got {self.node_budget!r}")
         if self.node_budget < 1:
             raise SpecError("node_budget must be positive")
         if not (math.isfinite(self.time_budget) and self.time_budget > 0):
@@ -143,9 +145,15 @@ def _column_masks(candidates: list[Vertex], sizes: tuple[int, ...]) -> list[list
 def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> SearchOutcome:
     """Depth-first search for a full valid ordering of the given graph.
 
-    With symmetry_fixing the first two rows are pinned to the all-1 and all-2
-    vertices, which loses no solutions up to per-column relabeling, so an
-    EXHAUSTED_NO_SOLUTION outcome proves the graph is not radio graceful.
+    The first two rows are always the all-1 and all-2 vertices.  That loses
+    no solution.  Relabeling the values of one column by a permutation
+    changes no shared-coordinate count, so it keeps an ordering valid.  The
+    first two rows of a valid ordering share no coordinate, so each column
+    has a relabeling that sends its row-1 value to 1 and its row-2 value to
+    2, and applying them all gives a valid ordering that starts all-1,
+    all-2.  So an EXHAUSTED_NO_SOLUTION outcome proves the graph is not
+    radio graceful.
+
     The exploration order is fully determined by config and seed; node-budget
     cutoffs reproduce outcome and node count exactly, wall-clock cutoffs land
     wherever the clock does.
@@ -230,9 +238,8 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
             window.appendleft(at_least(rows[-(t - 1)]))
         refresh()
 
-    if config.symmetry_fixing and n_total >= 2:
-        push(candidates.index(spec.constant_vertex(1)))
-        push(candidates.index(spec.constant_vertex(2)))
+    push(candidates.index(spec.constant_vertex(1)))
+    push(candidates.index(spec.constant_vertex(2)))
 
     status, nodes, max_depth, elapsed = _depth_first(
         rows, n_total, children, push, pop, config.node_budget, config.time_budget
@@ -328,10 +335,6 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
     wherever the clock does.
     """
     config = config or SearchConfig()
-    if not config.symmetry_fixing:
-        raise SpecError(
-            "the reduced K_3^4 search always pins rows 1-2; symmetry_fixing=False is unsupported"
-        )
     succ = _k34_successors()
     reach = _k34_reach()
     n_total = len(succ)

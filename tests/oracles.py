@@ -369,15 +369,15 @@ def oracle_k34_walk(node_budget, seed=None):
     return status.value, nodes, deepest, tuple(rows)
 
 
-def oracle_search_ordering(sizes, node_budget, seed=None, symmetry_fixing=True):
+def oracle_search_ordering(sizes, node_budget, seed=None):
     """The generic ordering search by a plain candidate scan, from the definition.
 
     Candidates are all vertices in lexicographic order, shuffled by
-    random.Random(seed) when a seed is given.  With symmetry_fixing rows 1 and
-    2 are the all-1 and all-2 vertices.  A candidate is admissible when it is
-    unused and shares at most k - 1 coordinates with the row k back, for every
-    k below the diameter; each level tries its admissible candidates in list
-    order and each accepted row counts as one node.  The search stops on the
+    random.Random(seed) when a seed is given.  Rows 1 and 2 are the all-1 and
+    all-2 vertices.  A candidate is admissible when it is unused and shares at
+    most k - 1 coordinates with the row k back, for every k below the
+    diameter; each level tries its admissible candidates in list order and
+    each accepted row counts as one node.  The search stops on the
     first node past node_budget.  Returns (status, nodes, deepest, rows), with
     rows the found ordering or None.
     """
@@ -385,7 +385,7 @@ def oracle_search_ordering(sizes, node_budget, seed=None, symmetry_fixing=True):
     candidates = list(itertools.product(*(range(1, n + 1) for n in sizes)))
     if seed is not None:
         random.Random(seed).shuffle(candidates)
-    rows = [(1,) * t, (2,) * t] if symmetry_fixing else []
+    rows = [(1,) * t, (2,) * t]
     placed = set(rows)
     nodes = 0
     deepest = len(rows)
@@ -414,6 +414,34 @@ def oracle_search_ordering(sizes, node_budget, seed=None, symmetry_fixing=True):
 
     status = extend() or "exhausted"
     return status, nodes, deepest, tuple(rows) if status == "found" else None
+
+
+def oracle_unpinned_graceful(sizes):
+    """Whether a valid ordering exists, by a plain scan that pins no row.
+
+    The unreduced counterpart of search_ordering: every vertex may open the
+    ordering, so an exhausted scan has tried every ordering, not only those
+    that start all-1, all-2.
+    """
+    t = len(sizes)
+    candidates = list(itertools.product(*(range(1, n + 1) for n in sizes)))
+    rows = []
+
+    def extend():
+        if len(rows) == len(candidates):
+            return True
+        for v in candidates:
+            if v in rows or any(
+                oracle_shared(v, rows[-k]) >= k for k in range(1, min(t - 1, len(rows)) + 1)
+            ):
+                continue
+            rows.append(v)
+            if extend():
+                return True
+            rows.pop()
+        return False
+
+    return extend()
 
 
 # The instruction layer's decode and encode as they stood before permutations

@@ -9,7 +9,6 @@ from hamming_radio.bounds import (
     boundary_structure_check,
     bound_verdict,
     distinct_column_count,
-    distinct_column_profile,
     factor_threshold,
     _candidate_rows,
     _share_need,
@@ -112,12 +111,10 @@ def test_distinct_column_count_window_errors(golden_k32):
 
 
 def test_distinct_column_profile(golden_k34):
-    profile = distinct_column_profile(golden_k34, 10, 3)
-    assert profile.row == 10
-    assert len(profile.counts) == 4
-    assert profile.counts[0] == golden_k34.spec.diameter
+    counts = [distinct_column_count(golden_k34, 10, depth) for depth in range(4)]
+    assert counts[0] == golden_k34.spec.diameter
     # widening the window can only break distinctness
-    assert all(a >= b for a, b in zip(profile.counts, profile.counts[1:]))
+    assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
 def test_boundary_structure_clean_on_golden(golden_k34):
@@ -157,6 +154,14 @@ def test_boundary_structure_flags_broken_rows(golden_k34):
 def test_segment_search_rejects_trivial_depth():
     with pytest.raises(SpecError):
         segment_extension_search(make_graph_spec([(3, 4)]), depth=1)
+
+
+@pytest.mark.parametrize("depth", [2.5, 3.0, "4"])
+def test_segment_search_rejects_a_depth_that_is_not_an_int(monkeypatch, depth):
+    # 2.5 rows can never be reached, so the search used to run to the node cap
+    monkeypatch.setattr(bounds, "SEGMENT_NODE_CAP", 1_000)
+    with pytest.raises(SpecError, match=f"segment depth must be an integer, got {depth!r}$"):
+        segment_extension_search(make_graph_spec([(3, 2)]), depth)
 
 
 def test_segment_search_extends_k3_4():

@@ -153,6 +153,30 @@ def test_history_dependent_sets():
             "column 1 generator 'lru' is not an InstructionGenerator",
             id="generator-string",
         ),
+        pytest.param(
+            lambda: InstructionGenerator("lru", 3.0),
+            UnsupportedSizeError,
+            "instruction machinery needs an integer n, got 3.0",
+            id="generator-n-float",
+        ),
+        pytest.param(
+            lambda: InstructionGenerator("lru", "3"),
+            UnsupportedSizeError,
+            "instruction machinery needs an integer n, got '3'",
+            id="generator-n-string",
+        ),
+        pytest.param(
+            lambda: InstructionGenerator("lru", True),
+            UnsupportedSizeError,
+            "instruction machinery needs an integer n, got True",
+            id="generator-n-bool",
+        ),
+        pytest.param(
+            lambda: builtin_generator("bogus", 3),
+            MembershipError,
+            "'bogus' is not a valid GeneratorKind",
+            id="generator-unknown-kind",
+        ),
     ],
 )
 def test_foreign_arguments_raise_the_layer_errors(call, error, message):

@@ -8,6 +8,12 @@ import pytest
 from hamming_radio import search
 from hamming_radio.errors import InvalidWitnessError, SpecError, TooLargeError
 from hamming_radio.graphs import enumerate_vertices, make_graph_spec
+from hamming_radio.instructions import (
+    builtin_generator,
+    make_order_generator,
+    materialize,
+    recover_instructions,
+)
 from hamming_radio.search import (
     SearchConfig,
     SearchStatus,
@@ -20,7 +26,12 @@ from hamming_radio.search import (
 from hamming_radio.perms import Permutation
 from hamming_radio.verify import Ordering, check_ordering, is_valid_ordering, permute_column
 
-from .oracles import oracle_k34_transitions, oracle_k34_walk, oracle_search_ordering
+from .oracles import (
+    oracle_k34_transitions,
+    oracle_k34_walk,
+    oracle_search_ordering,
+    oracle_unpinned_graceful,
+)
 
 
 def test_config_validation():
@@ -29,8 +40,13 @@ def test_config_validation():
     for budget in (0, float("nan"), float("inf")):
         with pytest.raises(SpecError):
             SearchConfig(time_budget=budget)
-    with pytest.raises(SpecError):
-        search_k34_reduced(SearchConfig(symmetry_fixing=False))
+
+
+@pytest.mark.parametrize("budget", [2.5, True, "5"])
+def test_node_budget_must_be_an_exact_int(budget):
+    # 2.5 and True used to be accepted, and "5" raised a bare TypeError from <
+    with pytest.raises(SpecError, match=f"node_budget must be an integer, got {budget!r}$"):
+        SearchConfig(node_budget=budget)
 
 
 def test_search_finds_k3_2():
@@ -53,14 +69,6 @@ def test_search_exhausts_k2_2():
     outcome = search_ordering(make_graph_spec([(2, 2)]))
     assert outcome.status is SearchStatus.EXHAUSTED_NO_SOLUTION
     assert outcome.ordering is None
-
-
-def test_search_without_symmetry_agrees():
-    spec = make_graph_spec([(2, 2)])
-    free = search_ordering(spec, SearchConfig(symmetry_fixing=False))
-    assert free.status is SearchStatus.EXHAUSTED_NO_SOLUTION
-    two = make_graph_spec([(2, 1)])
-    assert search_ordering(two, SearchConfig(symmetry_fixing=False)).status is SearchStatus.FOUND
 
 
 def test_search_vertex_cap():
@@ -158,7 +166,6 @@ FIELD_CASES = {
     "node_budget": ([(3, 2)], {}, 5),
     "time_budget": ([(4, 6)], {"node_budget": 5_000}, 1e-9),  # stops at the 1,024-node check
     "seed": ([(3, 3)], {}, 42),
-    "symmetry_fixing": ([(3, 2)], {}, False),
 }
 
 
@@ -200,12 +207,49 @@ def test_search_matches_scan_oracle(factors):
     # budget 50 under every order; budget 1000 under the lexicographic order and one seed
     one_seed = ORACLE_SPECS.index(factors) % 10
     runs = [(50, seed) for seed in (None, *range(10))] + [(1000, None), (1000, one_seed)]
-    for (budget, seed), symmetry in itertools.product(runs, (True, False)):
-        config = SearchConfig(node_budget=budget, seed=seed, symmetry_fixing=symmetry)
+    for budget, seed in runs:
+        config = SearchConfig(node_budget=budget, seed=seed)
         outcome = search_ordering(spec, config)
         rows = outcome.ordering.rows if outcome.ordering else None
         got = (outcome.status.value, outcome.nodes_explored, outcome.max_depth_reached, rows)
-        assert got == oracle_search_ordering(sizes, budget, seed, symmetry), (budget, seed, symmetry)
+        assert got == oracle_search_ordering(sizes, budget, seed), (budget, seed)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [(2, 1)], [(2, 2)], [(2, 3)], [(2, 4)], [(3, 2)], [(3, 3)], [(4, 2)], [(5, 2)],
+        [(2, 1), (3, 1)], [(2, 1), (3, 2)], [(2, 2), (3, 1)], [(2, 2), (3, 2)], [(2, 1), (4, 1)],
+        [(2, 2), (4, 1)], [(3, 1), (4, 1)], [(2, 1), (3, 1), (4, 1)], [(2, 1), (3, 1), (5, 1)],
+    ],
+    ids=lambda f: "x".join(f"{n}^{c}" for n, c in f),
+)
+def test_pinning_loses_no_verdict(factors):
+    """Pinning rows 1-2 is sound: a scan that pins nothing reaches the same
+    verdict, found or exhausted, on products small enough to exhaust."""
+    spec = make_graph_spec(factors)
+    found = search_ordering(spec).status is SearchStatus.FOUND
+    assert found == oracle_unpinned_graceful(spec.column_sizes())
+
+
+@pytest.mark.parametrize("factors", [[(3, 2)], [(3, 3)], [(4, 2)], [(5, 2)], [(3, 1), (4, 1)]])
+def test_found_orderings_start_pinned_and_round_trip(factors):
+    """Every search starts all-1, all-2, which is the form the instruction
+    layer encodes (row 1 the identity, row 2 f_2), so each found ordering
+    decodes back to itself."""
+    spec = make_graph_spec(factors)
+    t = spec.diameter
+    gens = [builtin_generator("lru", size) for size in spec.column_sizes()]
+    for seed in (None, *range(5)):
+        outcome = search_ordering(spec, SearchConfig(seed=seed))
+        assert outcome.status is SearchStatus.FOUND, seed
+        rows = outcome.ordering.rows
+        assert rows[:2] == ((1,) * t, (2,) * t), seed
+        cells_by_column = [
+            recover_instructions([row[j] for row in rows], gen) for j, gen in enumerate(gens)
+        ]
+        og = make_order_generator(spec, list(zip(*cells_by_column)), gens)
+        assert materialize(og) == outcome.ordering, seed
 
 
 @pytest.mark.parametrize("factors,budget", [([(4, 6)], 5_000), ([(4, 7)], 3_000)])
