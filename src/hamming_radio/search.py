@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import random
 import time
 from collections import deque
@@ -51,8 +52,12 @@ class SearchConfig:
             raise SpecError(f"node_budget must be an integer, got {self.node_budget!r}")
         if self.node_budget < 1:
             raise SpecError("node_budget must be positive")
+        if isinstance(self.time_budget, bool) or not isinstance(self.time_budget, numbers.Real):
+            raise SpecError(f"time_budget must be a real number, got {self.time_budget!r}")
         if not (math.isfinite(self.time_budget) and self.time_budget > 0):
             raise SpecError(f"time_budget must be positive and finite, got {self.time_budget}")
+        if self.seed is not None and type(self.seed) is not int:
+            raise SpecError(f"seed must be None or an integer, got {self.seed!r}")
 
 
 class SearchStatus(Enum):
@@ -295,16 +300,28 @@ def _k34_successors() -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 @functools.cache
-def _k34_reach() -> tuple[tuple[int, ...], ...]:
-    """reach[v][d]: the bitset of the four rows succ[v][d], built once per process."""
-    return tuple(
-        tuple(sum(1 << w for w in onward) for onward in by_step) for by_step in _k34_successors()
-    )
+def _k34_moves() -> list[list[tuple[int, int, int, int, list]]]:
+    """moves[16 * v + d]: the four moves from tail row v after step d.
 
-
-# the columns a step may negate after negating prev_col, in column order;
-# index -1, the last entry, serves prev_col -1 before the first negation
-_K34_COLUMNS_AFTER = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2), (0, 1, 2, 3))
+    One entry per column c, in column order: (c, bit_w, w, onward, next),
+    with w = succ[v][d][c], the row reached by negating coordinate c, and
+    bit_w = 1 << w.  onward is the bitset of the three rows
+    succ[w][d'][c2] for c2 != c, where d' = d ^ (1 << c) is the step just
+    taken: the rows one move on from w.  next is moves[16 * w + d'] itself,
+    so a walk follows its moves without indexing.  The bit_w ints come from
+    one shared list.  About 0.7 MiB, built once per process on the first
+    reduced search and shared by every later one, so callers must not mutate it.
+    """
+    succ = _k34_successors()
+    bits = [1 << w for w in range(len(succ))]
+    moves: list[list] = [[] for _ in range(16 * len(succ))]
+    for v, by_step in enumerate(succ):
+        for d, entry in enumerate(by_step):
+            for c, w in enumerate(entry):
+                d2 = d ^ (1 << c)
+                onward = sum(bits[u] for c2, u in enumerate(succ[w][d2]) if c2 != c)
+                moves[16 * v + d].append((c, bits[w], w, onward, moves[16 * w + d2]))
+    return moves
 
 
 def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
@@ -320,55 +337,56 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
     instruction row with its single f_2 in column c.  A state is the tail
     row, the last step and the column negated last.
 
-    The walk keeps `free`, the bitset of rows not yet placed.  A child w
-    that is not the last row is skipped when every row one step on from it
-    is placed already: the placed set only grows along a path, so no
-    completion passes through w, and skipping it loses no solutions.  The
-    rows one step on from w are succ[w][new_step][c2] for the columns c2
-    other than col, the one just negated (negating it again would break the
-    rule above).  reach[w][new_step] has the bits of all four succ[w][new_step]
-    rows, which are distinct because their steps differ; clearing the bit of
-    column col leaves exactly those three, so one AND with `free` asks
-    whether some onward row is unplaced.  The exploration order is fully
-    determined by config and seed, so runs cut off by the node budget
-    reproduce outcome and node count exactly; a wall-clock cutoff lands
-    wherever the clock does.
+    The walk reads its moves from _k34_moves(), a table built once per
+    process: the state's entry lists the four moves, one per column, each
+    with the row w it reaches, that row's bit, the bits of the rows one move
+    on from w, and the entry to continue from.  The walk keeps `free`, the
+    bitset of rows not yet placed, and a level's children are the moves of
+    the current entry whose column is not the one negated last and whose row
+    is free, in column order.  A child w that is not the last row is also
+    skipped when every row one move on from it is placed already: the placed
+    set only grows along a path, so no completion passes through w, and
+    skipping it loses no solutions.  The rows one move on are those three
+    onward rows, since negating the column just negated again would break
+    the rule above, so one AND with `free` decides it.  The exploration
+    order is fully determined by config and seed, so runs cut off by the
+    node budget reproduce outcome and node count exactly; a wall-clock
+    cutoff lands wherever the clock does.
     """
     config = config or SearchConfig()
-    succ = _k34_successors()
-    reach = _k34_reach()
-    n_total = len(succ)
+    table = _k34_moves()
+    n_total = len(table) // 16  # 16 steps per row
     rng = None if config.seed is None else random.Random(config.seed)
 
     rows = [_K34.vertex_index(_K34.constant_vertex(value)) for value in (1, 2)]
     free = ((1 << n_total) - 1) ^ (1 << rows[0]) ^ (1 << rows[1])
-    step = 0  # +1 in every coordinate
-    prev_col = -1  # the column negated last; -1 before the first negation
+    moves = table[16 * rows[1]]  # after step 0, +1 in every coordinate
+    prev_col = -1  # the column negated last; -1 admits all four before the first negation
 
-    def column_choices() -> list[tuple[int, int, int]]:
-        entry = succ[rows[-1]][step]
-        interior = len(rows) < n_total - 1
+    def column_choices() -> list[tuple[int, int, int, int, list]]:
+        # plain loops, not comprehensions: on Python 3.11 a comprehension is
+        # a function call per level, and the row test cuts most moves first
         out = []
-        for col in _K34_COLUMNS_AFTER[prev_col]:
-            w = entry[col]
-            if not (free >> w) & 1:
-                continue
-            new_step = step ^ (1 << col)
-            if interior and not free & (reach[w][new_step] ^ (1 << succ[w][new_step][col])):
-                continue  # placing w would strand the walk one row later
-            out.append((col, new_step, w))
+        if len(rows) < n_total - 1:
+            for m in moves:
+                if free & m[1] and m[0] != prev_col and free & m[3]:
+                    out.append(m)
+        else:  # the last row strands nothing
+            for m in moves:
+                if free & m[1] and m[0] != prev_col:
+                    out.append(m)
         if rng is not None and len(out) > 1:  # a shorter list would draw no random bits
             rng.shuffle(out)
         return out
 
-    def push(choice: tuple[int, int, int]) -> None:
-        nonlocal free, step, prev_col
-        prev_col, step, w = choice
+    def push(move: tuple[int, int, int, int, list]) -> None:
+        nonlocal free, moves, prev_col
+        prev_col, bit, w, _, moves = move
         rows.append(w)
-        free ^= 1 << w
+        free ^= bit
 
     def pop() -> None:
-        # step and prev_col go stale, but the driver pushes before it asks for children again
+        # moves and prev_col go stale, but the driver pushes before it asks for children again
         nonlocal free
         free |= 1 << rows.pop()
 

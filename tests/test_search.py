@@ -1,7 +1,9 @@
 import ast
 import dataclasses
 import itertools
+import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +19,7 @@ from hamming_radio.instructions import (
 from hamming_radio.search import (
     SearchConfig,
     SearchStatus,
-    _k34_reach,
+    _k34_moves,
     _k34_successors,
     brute_force_radio_graceful,
     search_k34_reduced,
@@ -47,6 +49,29 @@ def test_node_budget_must_be_an_exact_int(budget):
     # 2.5 and True used to be accepted, and "5" raised a bare TypeError from <
     with pytest.raises(SpecError, match=f"node_budget must be an integer, got {budget!r}$"):
         SearchConfig(node_budget=budget)
+
+
+@pytest.mark.parametrize("budget", ["5", True, False, None, [1.0]])
+def test_time_budget_must_be_a_real_number(budget):
+    # "5" raised a bare TypeError from math.isfinite, and True ran as one second
+    message = f"time_budget must be a real number, got {re.escape(repr(budget))}$"
+    with pytest.raises(SpecError, match=message):
+        SearchConfig(time_budget=budget)
+
+
+@pytest.mark.parametrize("seed", [2.5, "x", [1], True, 3.0])
+def test_seed_must_be_none_or_an_exact_int(seed):
+    # 2.5, "x", True and 3.0 ran as shuffles, and [1] raised a bare TypeError
+    # only once the search started
+    message = f"seed must be None or an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(SpecError, match=message):
+        SearchConfig(seed=seed)
+
+
+def test_config_accepts_every_real_budget_and_int_seed():
+    for budget, seed in [(60, None), (0.5, 0), (Fraction(1, 2), -3), (1e-9, 2**70)]:
+        config = SearchConfig(time_budget=budget, seed=seed)
+        assert (config.time_budget, config.seed) == (budget, seed)
 
 
 def test_search_finds_k3_2():
@@ -305,12 +330,53 @@ def test_step_successors_match_instructions():
 
 def test_successor_table_built_once():
     _k34_successors.cache_clear()
-    _k34_reach.cache_clear()
+    _k34_moves.cache_clear()
     config = SearchConfig(node_budget=10)
     search_k34_reduced(config)
     search_k34_reduced(config)
-    assert _k34_successors.cache_info().misses == 1
-    assert _k34_reach.cache_info().misses == 1
+    assert _k34_moves.cache_info().misses == 1
+    assert _k34_successors.cache_info().misses <= 1
+
+
+def test_move_table_matches_successors():
+    """Every move of all 81 x 16 x 4 (v, d, c) agrees with the successor
+    table, and its last field is the very entry the walk continues from.
+    The moves share one 1 << w int per row."""
+    succ = _k34_successors()
+    moves = _k34_moves()
+    assert len(moves) == 81 * 16
+    assert len({id(m[1]) for entry in moves for m in entry}) == 81
+    for v, d in itertools.product(range(81), range(16)):
+        entry = moves[16 * v + d]
+        assert [m[0] for m in entry] == [0, 1, 2, 3], (v, d)
+        for c, (col, bit_w, w, onward, following) in enumerate(entry):
+            d2 = d ^ (1 << c)
+            assert w == succ[v][d][c], (v, d, c)
+            assert bit_w == 1 << w, (v, d, c)
+            assert onward == sum(1 << succ[w][d2][c2] for c2 in range(4) if c2 != c), (v, d, c)
+            assert bin(onward).count("1") == 3, (v, d, c)
+            assert following is moves[16 * w + d2], (v, d, c)
+
+
+def test_move_table_memory_is_bounded():
+    """The table stays below 1 MiB.  One entry per tail row and step, with
+    5-field moves and shared 1 << w ints, traces about 0.69 MiB and is what
+    the walk uses.  Two faster designs were measured and not taken, because
+    peak_rss_mb is an end-to-end metric of the benchmark's search workload:
+    entries pre-filtered per last column (80 * v + 5 * d + p) with shared
+    move tuples, about 1.36 MiB and +0.8 MiB of peak RSS, and the same with
+    6-field tuples per state, 3.64 MiB and +3 MiB of peak RSS."""
+    _k34_successors.cache_clear()
+    _k34_moves.cache_clear()
+    _k34_successors()  # about 0.24 MiB of its own, built before tracing starts
+    tracemalloc.start()
+    try:
+        _k34_moves()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _k34_moves.cache_info().misses == 1
+    assert peak < 2**20, f"move table traced {peak / 2**20:.2f} MiB"
 
 
 LEXICOGRAPHIC_ROWS_AT_1000 = [
