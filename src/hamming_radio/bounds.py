@@ -274,11 +274,12 @@ def segment_extension_search(spec: GraphSpec, depth: int) -> SegmentSearchResult
     sizes = spec.column_sizes()
     rows: list[Vertex] = [spec.constant_vertex(1), spec.constant_vertex(2)]
 
-    def children():
+    def step(row):
+        rows.append(row)
         return _candidate_rows(sizes, rows)
 
     status, nodes, deepest, _ = _depth_first(
-        rows, depth + 1, children, rows.append, rows.pop, SEGMENT_NODE_CAP, math.inf
+        rows, depth + 1, _candidate_rows(sizes, rows), step, rows.pop, SEGMENT_NODE_CAP, math.inf
     )
     if status is SearchStatus.BUDGET_EXCEEDED:
         raise TooLargeError(f"segment search exceeded {SEGMENT_NODE_CAP} nodes for {spec}")

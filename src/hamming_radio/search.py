@@ -86,48 +86,56 @@ def _finish(
 def _depth_first(
     rows: list,
     target: int,
-    children: Callable[[], Iterable],
-    push: Callable[[Any], object],
+    first: Iterable,
+    step: Callable[[Any], Iterable],
     pop: Callable[[], object],
     node_budget: int,
     time_budget: float,
 ) -> tuple[SearchStatus, int, int, float]:
     """The depth-first loop behind every search in the package.
 
-    children() gives the candidates for the row after the current `rows`,
-    push(child) places one and pop() takes the last placed row back off; no
-    child may be None, which marks an exhausted level.  Each child taken
-    counts as a node.  Stops with FOUND once `rows` holds target rows, with
-    BUDGET_EXCEEDED on the first node past node_budget or, checked every 1024
-    nodes, more than time_budget seconds after the start, and otherwise with
-    EXHAUSTED_NO_SOLUTION.  Returns the status, the node count, the deepest
-    row count reached and the seconds the loop took.
+    first is the children of the root level, the candidates for the row
+    after the current `rows`.  step(child) places one child and returns the
+    children of the level below it; pop() takes the last placed row back
+    off.  Each child taken counts as a node.  Stops with FOUND right after
+    the step that makes `rows` hold target rows (at once, with 0 nodes, if it
+    holds them already), with BUDGET_EXCEEDED on the first node past
+    node_budget or, read at every 1024th node, more than time_budget seconds
+    after the start, and otherwise with EXHAUSTED_NO_SOLUTION.  Returns the
+    status, the node count, the deepest row count reached and the seconds
+    the loop took.
     """
     start = time.monotonic()
     deadline = start + time_budget
     nodes = 0
-    max_depth = len(rows)
-    status = SearchStatus.EXHAUSTED_NO_SOLUTION
-    stack = [iter(children())]
-    while stack:
-        if len(rows) == target:
-            status = SearchStatus.FOUND
+    depth = max_depth = len(rows)
+    if depth == target:
+        return SearchStatus.FOUND, nodes, max_depth, time.monotonic() - start
+    # the next node that needs a look: the first past the budget or the next clock reading
+    check = min(node_budget + 1, 1024)
+    stack = []  # the suspended levels above the current one
+    level = iter(first)
+    while True:
+        for child in level:
+            nodes += 1
+            if nodes == check:
+                if nodes > node_budget or time.monotonic() > deadline:
+                    return SearchStatus.BUDGET_EXCEEDED, nodes, max_depth, time.monotonic() - start
+                check = min(node_budget + 1, nodes + 1024)
+            stack.append(level)
+            level = iter(step(child))
+            depth += 1
+            if depth > max_depth:  # a row count reached for the first time, so maybe target
+                max_depth = depth
+                if depth == target:
+                    return SearchStatus.FOUND, nodes, max_depth, time.monotonic() - start
             break
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-            if stack:  # the root level placed no row of its own
-                pop()
-            continue
-        nodes += 1
-        if nodes > node_budget or (nodes % 1024 == 0 and time.monotonic() > deadline):
-            status = SearchStatus.BUDGET_EXCEEDED
-            break
-        push(child)
-        if len(rows) > max_depth:
-            max_depth = len(rows)
-        stack.append(iter(children()))
-    return status, nodes, max_depth, time.monotonic() - start
+        else:
+            if not stack:  # the root level placed no row of its own
+                return SearchStatus.EXHAUSTED_NO_SOLUTION, nodes, max_depth, time.monotonic() - start
+            pop()
+            depth -= 1
+            level = stack.pop()
 
 
 def _column_masks(candidates: list[Vertex], sizes: tuple[int, ...]) -> list[list[int]]:
@@ -173,7 +181,7 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
     keeps only its resume position and re-reads the admissible set when it
     resumes, and a pop that leaves fewer than t - 1 rows in the window
     recomputes the masks of the one row that re-enters it.  The extra row
-    makes a dead end's push and pop cost no recompute.  The masks are built
+    makes a dead end's step and pop cost no recompute.  The masks are built
     outside time_budget, so more than MASK_BIT_CAP mask bits raise
     TooLargeError before N is computed.  That refuses every N > 10^6 too:
     sizes summing to 33 or less give N <= 3^11, and 34 x 10^6 > 2^25.
@@ -226,7 +234,7 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
             del rest  # so that a suspended level holds no N-bit mask
             yield pos - 1
 
-    def push(pos: int) -> None:
+    def step(pos: int) -> Iterator[int]:
         nonlocal used
         rows.append(pos)
         used |= 1 << pos
@@ -234,6 +242,7 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
         if len(window) > t:
             window.popleft()
         refresh()
+        return children()
 
     def pop() -> None:
         nonlocal used
@@ -243,11 +252,11 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
             window.appendleft(at_least(rows[-(t - 1)]))
         refresh()
 
-    push(candidates.index(spec.constant_vertex(1)))
-    push(candidates.index(spec.constant_vertex(2)))
+    step(candidates.index(spec.constant_vertex(1)))
+    first = step(candidates.index(spec.constant_vertex(2)))
 
     status, nodes, max_depth, elapsed = _depth_first(
-        rows, n_total, children, push, pop, config.node_budget, config.time_budget
+        rows, n_total, first, step, pop, config.node_budget, config.time_budget
     )
     ordering = None
     if status is SearchStatus.FOUND:
@@ -281,22 +290,23 @@ def brute_force_radio_graceful(spec: GraphSpec) -> BruteForceResult:
 _K34 = make_graph_spec([(3, 4)])
 
 
-@functools.cache
 def _k34_successors() -> tuple[tuple[tuple[int, ...], ...], ...]:
     """succ[v][d][c]: the index of v + (d with bit c flipped) in K_3^4.
 
     Indices are GraphSpec.vertex_index values, the positions in
-    enumerate_vertices, and bit j of a step d set means -1 in coordinate j,
-    clear means +1 (mod 3).  Built once per process and shared by every search.
+    enumerate_vertices: base-3 numerals whose digits are the coordinates
+    minus 1, column 0 most significant.  Bit j of a step d set means -1 in
+    coordinate j, clear means +1 (mod 3), so digit j moves to
+    (digit + 1 + bit j) mod 3.  Only _k34_moves' build reads it.
     """
-
-    def add(v: Vertex, step: int) -> int:
-        return _K34.vertex_index((a - 2 * (step >> j & 1)) % 3 + 1 for j, a in enumerate(v))
-
-    return tuple(
-        tuple(tuple(add(v, d ^ (1 << c)) for c in range(4)) for d in range(16))
-        for v in enumerate_vertices(_K34)
-    )
+    weights = (27, 9, 3, 1)
+    succ = []
+    for v in range(81):  # the vertices of K_3^4
+        # column j's share of the index reached, with bit j of the step clear and set
+        shares = [((v // w + 1) % 3 * w, (v // w + 2) % 3 * w) for w in weights]
+        reached = list(map(sum, itertools.product(*reversed(shares))))  # by step, bit 0 fastest
+        succ.append(tuple(tuple(reached[d ^ (1 << c)] for c in range(4)) for d in range(16)))
+    return tuple(succ)
 
 
 @functools.cache
@@ -338,60 +348,56 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
     row, the last step and the column negated last.
 
     The walk reads its moves from _k34_moves(), a table built once per
-    process: the state's entry lists the four moves, one per column, each
-    with the row w it reaches, that row's bit, the bits of the rows one move
-    on from w, and the entry to continue from.  The walk keeps `free`, the
-    bitset of rows not yet placed, and a level's children are the moves of
-    the current entry whose column is not the one negated last and whose row
-    is free, in column order.  A child w that is not the last row is also
-    skipped when every row one move on from it is placed already: the placed
-    set only grows along a path, so no completion passes through w, and
-    skipping it loses no solutions.  The rows one move on are those three
-    onward rows, since negating the column just negated again would break
-    the rule above, so one AND with `free` decides it.  The exploration
-    order is fully determined by config and seed, so runs cut off by the
-    node budget reproduce outcome and node count exactly; a wall-clock
-    cutoff lands wherever the clock does.
+    process: a state's entry lists the four moves, one per column c, each
+    with c, the row w it reaches, that row's bit, the bits of the rows one
+    move on from w, and the entry of the state it leads to.  A move thus
+    carries the state it leads to, and `free`, the bitset of rows not yet
+    placed, is the walk's only state.  step(move) places w, clears its bit
+    in `free` and returns the next level's children: the moves of the
+    move's entry whose column is not c and whose row is free, in column
+    order.  A child w that is not the last row is also skipped when every
+    row one move on from it is placed already: the placed set only grows
+    along a path, so no completion passes through w, and skipping it loses
+    no solutions.  The rows one move on are those three onward rows, since
+    negating the column just negated again would break the rule above, so
+    one AND with `free` decides it; w is the last row exactly when it is the
+    only free row.  Row 2 is placed by the same step, before the driver
+    starts, so it counts as no node: its move negates no column (-1, so all
+    four columns are open) and leads to the all-2 row's entry after step 0.
+    The exploration order is fully determined by config and seed, so runs
+    cut off by the node budget reproduce outcome and node count exactly; a
+    wall-clock cutoff lands wherever the clock does.
     """
     config = config or SearchConfig()
     table = _k34_moves()
     n_total = len(table) // 16  # 16 steps per row
     rng = None if config.seed is None else random.Random(config.seed)
+    one, two = (_K34.vertex_index(_K34.constant_vertex(value)) for value in (1, 2))
+    rows = [one]
+    free = ((1 << n_total) - 1) ^ (1 << one)
 
-    rows = [_K34.vertex_index(_K34.constant_vertex(value)) for value in (1, 2)]
-    free = ((1 << n_total) - 1) ^ (1 << rows[0]) ^ (1 << rows[1])
-    moves = table[16 * rows[1]]  # after step 0, +1 in every coordinate
-    prev_col = -1  # the column negated last; -1 admits all four before the first negation
-
-    def column_choices() -> list[tuple[int, int, int, int, list]]:
+    def step(move: tuple[int, int, int, int, list]) -> list[tuple[int, int, int, int, list]]:
         # plain loops, not comprehensions: on Python 3.11 a comprehension is
         # a function call per level, and the row test cuts most moves first
+        nonlocal free
+        col, bit, w, _, moves = move
+        rows.append(w)
+        free ^= bit
         out = []
-        if len(rows) < n_total - 1:
-            for m in moves:
-                if free & m[1] and m[0] != prev_col and free & m[3]:
-                    out.append(m)
-        else:  # the last row strands nothing
-            for m in moves:
-                if free & m[1] and m[0] != prev_col:
-                    out.append(m)
+        for m in moves:
+            if free & m[1] and m[0] != col and (free & m[3] or free == m[1]):
+                out.append(m)
         if rng is not None and len(out) > 1:  # a shorter list would draw no random bits
             rng.shuffle(out)
         return out
 
-    def push(move: tuple[int, int, int, int, list]) -> None:
-        nonlocal free, moves, prev_col
-        prev_col, bit, w, _, moves = move
-        rows.append(w)
-        free ^= bit
-
     def pop() -> None:
-        # moves and prev_col go stale, but the driver pushes before it asks for children again
         nonlocal free
         free |= 1 << rows.pop()
 
+    first = step((-1, 1 << two, two, 0, table[16 * two]))  # step 0 is +1 in every coordinate
     status, nodes, max_depth, elapsed = _depth_first(
-        rows, n_total, column_choices, push, pop, config.node_budget, config.time_budget
+        rows, n_total, first, step, pop, config.node_budget, config.time_budget
     )
     ordering = None
     if status is SearchStatus.FOUND:

@@ -13,7 +13,7 @@ from hamming_radio.errors import MembershipError, ShapeError
 from hamming_radio.graphs import shared_coordinates
 from hamming_radio.instructions import GeneratorKind, builtin_generator
 from hamming_radio.perms import Permutation, act, identity
-from hamming_radio.search import _depth_first, _k34_successors
+from hamming_radio.search import _k34_successors
 from hamming_radio.verify import RadioViolation
 
 
@@ -310,6 +310,43 @@ def oracle_k34_transitions():
     return out
 
 
+def oracle_depth_first(rows, target, first, step, pop, node_budget):
+    """The contract of search._depth_first, written as a plain recursion.
+
+    first is the root level's children, step(child) places a child and
+    returns the next level's children, and pop() takes the last placed row
+    back off.  Each child taken is a node; the node past node_budget stops
+    the search before it is placed, and so does `rows` reaching target rows
+    (at once, with 0 nodes, if it holds them already).  No clock is read.
+    Returns (status, nodes, deepest) with status a SearchStatus value and
+    deepest the most rows held; `rows` is left as it was when the search
+    stopped.
+    """
+    nodes = 0
+    deepest = len(rows)
+
+    def visit(level):
+        """The status that stopped the search below level, or None."""
+        nonlocal nodes, deepest
+        for child in level:
+            nodes += 1
+            if nodes > node_budget:
+                return "budget exceeded"
+            below = step(child)
+            deepest = max(deepest, len(rows))
+            if len(rows) == target:
+                return "found"
+            stopped = visit(below)
+            if stopped is not None:
+                return stopped
+            pop()
+        return None
+
+    if len(rows) == target:
+        return "found", 0, deepest
+    return visit(first) or "exhausted", nodes, deepest
+
+
 def oracle_k34_walk(node_budget, seed=None):
     """The reduced K_3^4 walk with a used-row bitset and a per-column scan.
 
@@ -317,9 +354,10 @@ def oracle_k34_walk(node_budget, seed=None):
     masks: each level scans the columns 0..3 but the one negated last, skips
     a used row, and, below the last row, skips a child none of whose three
     onward rows is unused.  random.Random(seed) shuffles each level's list
-    when a seed is given.  Runs on the package's _depth_first loop and
-    successor table, which have their own tests.  Returns (status, nodes,
-    deepest, rows), with rows the path left when the search stopped.
+    when a seed is given.  Runs on oracle_depth_first (the walk is at most
+    81 levels deep) and the package's successor table, which has its own
+    test.  Returns (status, nodes, deepest, rows), with rows the path left
+    when the search stopped.
     """
     succ = _k34_successors()
     n_total = 81
@@ -327,10 +365,8 @@ def oracle_k34_walk(node_budget, seed=None):
 
     rows = [0, 40]  # the all-1 and all-2 vertices
     used = (1 << 0) | (1 << 40)
-    step = 0  # +1 in every coordinate
-    prev_col = -1  # the column negated last; -1 before the first negation
 
-    def column_choices():
+    def column_choices(step, prev_col):
         entry = succ[rows[-1]][step]
         interior = len(rows) < n_total - 1
         out = []
@@ -353,20 +389,21 @@ def oracle_k34_walk(node_budget, seed=None):
             rng.shuffle(out)
         return out
 
-    def push(choice):
-        nonlocal used, step, prev_col
-        prev_col, step, w = choice
+    def place(choice):
+        nonlocal used
+        col, step, w = choice
         rows.append(w)
         used |= 1 << w
+        return column_choices(step, col)
 
     def pop():
         nonlocal used
         used &= ~(1 << rows.pop())
 
-    status, nodes, deepest, _ = _depth_first(
-        rows, n_total, column_choices, push, pop, node_budget, 60.0  # SearchConfig's default
-    )
-    return status.value, nodes, deepest, tuple(rows)
+    # step 0 is +1 in every coordinate; -1 before the first negation
+    first = column_choices(0, -1)
+    status, nodes, deepest = oracle_depth_first(rows, n_total, first, place, pop, node_budget)
+    return status, nodes, deepest, tuple(rows)
 
 
 def oracle_search_ordering(sizes, node_budget, seed=None):

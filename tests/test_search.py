@@ -1,6 +1,8 @@
 import ast
 import dataclasses
 import itertools
+import math
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -29,6 +31,7 @@ from hamming_radio.perms import Permutation
 from hamming_radio.verify import Ordering, check_ordering, is_valid_ordering, permute_column
 
 from .oracles import (
+    oracle_depth_first,
     oracle_k34_transitions,
     oracle_k34_walk,
     oracle_search_ordering,
@@ -141,6 +144,135 @@ def test_one_mask_cap_refuses_what_two_caps_did(monkeypatch):
             sides.add((n > 10**6, n * sum(spec.column_sizes()) > 2**25))
         # admitted, refused by the mask bits alone, refused by both caps
         assert sides == {(False, False), (False, True), (True, True)}, grid[0]
+
+
+class SyntheticTree:
+    """A seeded tree behind _depth_first's (first, step, pop) contract.
+
+    A node has `fewest` to `widest` children, ints drawn by random.Random
+    keyed by the seed and the rows on the path; a path `cap` rows long has
+    none.  With `lazy` set, levels are generators that draw only when first
+    read, as the package's searches hand out.  Counts the steps and pops it
+    is given.
+    """
+
+    def __init__(self, seed, cap, fewest, widest, lazy=False, root=(0,)):
+        self.seed, self.cap, self.lazy = seed, cap, lazy
+        self.fewest, self.widest = fewest, widest
+        self.rows = list(root)
+        self.steps = self.pops = 0
+
+    def _draw(self):
+        if len(self.rows) >= self.cap:
+            return []
+        rng = random.Random(f"{self.seed}/{self.rows}")
+        return [rng.randrange(100) for _ in range(rng.randint(self.fewest, self.widest))]
+
+    def children(self):
+        if not self.lazy:
+            return self._draw()
+        return (child for child in self._draw())  # drawn at the first next()
+
+    def step(self, child):
+        self.steps += 1
+        self.rows.append(child)
+        return self.children()
+
+    def pop(self):
+        self.pops += 1
+        self.rows.pop()
+
+
+def _driven(tree, target, budget, first=None):
+    """search._depth_first on tree, as (status value, nodes, deepest)."""
+    first = tree.children() if first is None else first
+    status, nodes, deepest, _ = search._depth_first(
+        tree.rows, target, first, tree.step, tree.pop, budget, math.inf
+    )
+    return status.value, nodes, deepest
+
+
+def _referenced(tree, target, budget, first=None):
+    first = tree.children() if first is None else first
+    return oracle_depth_first(tree.rows, target, first, tree.step, tree.pop, budget)
+
+
+# (seed, cap, fewest, widest, target): bushy trees of 2,000-15,000 nodes
+# that the target never stops, and deep narrow ones that reach it or die out
+TREES = [(seed, 10, 1, 4, 20) for seed in range(3)] + [(seed, 30, 0, 2, 14) for seed in range(8)]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 1023, 1024, 1025, 10**9])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_depth_first_matches_reference(budget, lazy):
+    """_depth_first and the recursive reference agree on every tree: status,
+    nodes, deepest row, the rows left at the stop, and the steps and pops
+    they make, one step per node but the one cut off."""
+    statuses = set()
+    for seed, cap, fewest, widest, target in TREES:
+        reference = SyntheticTree(seed, cap, fewest, widest, lazy)
+        expected = _referenced(reference, target, budget)
+        tree = SyntheticTree(seed, cap, fewest, widest, lazy)
+        got = _driven(tree, target, budget)
+        assert got == expected, (seed, cap)
+        assert tree.rows == reference.rows, (seed, cap)
+        assert (tree.steps, tree.pops) == (reference.steps, reference.pops), (seed, cap)
+        status, nodes, _ = got
+        assert tree.steps == nodes - (status == "budget exceeded")
+        assert tree.steps - tree.pops == len(tree.rows) - 1
+        if cap == 10:  # thousands of nodes: only the unreachable budget lets them exhaust
+            if budget < 10**9:
+                assert (status, nodes) == ("budget exceeded", budget + 1)
+            else:
+                assert status == "exhausted" and nodes > 1025
+        statuses.add(status)
+    if budget == 10**9:
+        assert statuses == {"found", "exhausted"}
+    elif budget > 2:
+        assert statuses == {"found", "exhausted", "budget exceeded"}
+
+
+@pytest.mark.parametrize("run", [_driven, _referenced])
+def test_depth_first_edge_levels(run):
+    """A target already met stops before any node, and an empty root
+    exhausts at once; neither steps nor pops."""
+    tree = SyntheticTree(0, 9, 1, 4)
+    assert run(tree, 1, 10) == ("found", 0, 1)
+    assert run(tree, 5, 10, first=[]) == ("exhausted", 0, 1)
+    assert (tree.steps, tree.pops, tree.rows) == (0, 0, [0])
+
+
+@pytest.mark.parametrize(
+    "late_from,budget,stop",
+    [
+        (1, 10**9, 1024),
+        (1000, 10**9, 1024),
+        (1024, 10**9, 1024),
+        (1025, 10**9, 2048),
+        (3000, 10**9, 3072),
+        (None, 2047, 2048),  # the node past the budget stops the search unread
+        (None, 2048, 2049),
+    ],
+)
+def test_depth_first_reads_the_clock_every_1024_nodes(monkeypatch, late_from, budget, stop):
+    """The clock is read at the start, at nodes 1024, 2048, ... up to the
+    budget, and once more for the elapsed time, nowhere else.  A deadline
+    passed from node late_from on stops the search at the first multiple of
+    1024 at or after it."""
+    tree = SyntheticTree(1, 10, 1, 4)  # 14,310 nodes
+    reads = []  # the steps made before each read: k - 1 at node k
+
+    def clock():
+        reads.append(tree.steps)
+        late = len(reads) > 1 and late_from is not None and tree.steps + 1 >= late_from
+        return 100.0 if late else 0.0
+
+    monkeypatch.setattr(search.time, "monotonic", clock)
+    status, nodes, _, _ = search._depth_first(
+        tree.rows, 20, tree.children(), tree.step, tree.pop, budget, 10.0
+    )
+    assert (status, nodes) == (SearchStatus.BUDGET_EXCEEDED, stop)
+    assert reads == [0, *range(1023, min(stop, budget), 1024), nodes - 1]
 
 
 def test_search_node_budget_is_exact():
@@ -328,14 +460,24 @@ def test_step_successors_match_instructions():
         assert tuple(vertices[w] for w in succ[index[v]][step]) == expected, (u, v)
 
 
-def test_successor_table_built_once():
-    _k34_successors.cache_clear()
+def test_successor_table_built_once(monkeypatch):
+    """The move table is built on the first reduced search and shared by
+    every later one; the successor table is read only by that build, so it
+    is built once with it and not kept."""
+    built = []
+
+    def counting():
+        built.append(1)
+        return _k34_successors()
+
+    monkeypatch.setattr(search, "_k34_successors", counting)
     _k34_moves.cache_clear()
     config = SearchConfig(node_budget=10)
     search_k34_reduced(config)
     search_k34_reduced(config)
     assert _k34_moves.cache_info().misses == 1
-    assert _k34_successors.cache_info().misses <= 1
+    assert len(built) == 1
+    assert not hasattr(_k34_successors, "cache_info")
 
 
 def test_move_table_matches_successors():
@@ -359,16 +501,16 @@ def test_move_table_matches_successors():
 
 
 def test_move_table_memory_is_bounded():
-    """The table stays below 1 MiB.  One entry per tail row and step, with
-    5-field moves and shared 1 << w ints, traces about 0.69 MiB and is what
-    the walk uses.  Two faster designs were measured and not taken, because
-    peak_rss_mb is an end-to-end metric of the benchmark's search workload:
-    entries pre-filtered per last column (80 * v + 5 * d + p) with shared
-    move tuples, about 1.36 MiB and +0.8 MiB of peak RSS, and the same with
+    """The table stays below 1 MiB, and so does its build's peak, the
+    successor table it is built from included.  One entry per tail row and
+    step, with 5-field moves and shared 1 << w ints, traces about 0.7 MiB
+    (0.8 MiB at the build's peak) and is what the walk uses.  Two faster
+    designs were measured and not taken, because peak_rss_mb is an
+    end-to-end metric of the benchmark's search workload: entries
+    pre-filtered per last column (80 * v + 5 * d + p) with shared move
+    tuples, about 1.36 MiB and +0.8 MiB of peak RSS, and the same with
     6-field tuples per state, 3.64 MiB and +3 MiB of peak RSS."""
-    _k34_successors.cache_clear()
     _k34_moves.cache_clear()
-    _k34_successors()  # about 0.24 MiB of its own, built before tracing starts
     tracemalloc.start()
     try:
         _k34_moves()
@@ -451,12 +593,13 @@ def test_reduced_walk_children_accept_the_golden(monkeypatch, golden_k34, k34_sp
     path = [k34_spec.vertex_index(v) for v in target.rows]
     accepted = []
 
-    def replay(rows, n_total, children, push, pop, *budgets):
+    def replay(rows, n_total, first, step, pop, *budgets):
         assert rows == path[:2]
+        level = first
         for w in path[2:]:
-            choice = next((c for c in children() if c[2] == w), None)
+            choice = next((c for c in level if c[2] == w), None)
             assert choice is not None, f"row {len(rows) + 1} is not a child"
-            push(choice)
+            level = step(choice)
             accepted.append(w)
         return SearchStatus.FOUND, len(accepted), len(rows), 0.0
 
