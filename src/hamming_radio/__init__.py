@@ -58,7 +58,7 @@ from .instructions import (
     run_fixes_one,
     subscript_string,
 )
-from .perms import Permutation, act, compose, from_cycles, identity
+from .perms import Permutation, act, compose, identity
 from .search import (
     BruteForceResult,
     SearchConfig,
@@ -70,11 +70,9 @@ from .search import (
 )
 from .verify import (
     Labeling,
-    NonConsecutiveViolation,
     Ordering,
     RadioViolation,
     RepetitionViolation,
-    check_labeling,
     check_ordering,
     induced_labeling,
     is_consecutive,

@@ -26,6 +26,9 @@ SEGMENT_NODE_CAP = 5_000_000  # most nodes segment_extension_search explores
 def distinct_column_count(ordering: Ordering, row: int, depth: int) -> int:
     """Number of columns whose entries in rows row..row+depth are pairwise distinct."""
     rows = ordering.rows
+    for name, value in (("row", row), ("depth", depth)):
+        if type(value) is not int:  # not bool, not 1.5
+            raise ShapeError(f"window {name} {value!r} is not an integer")
     if depth < 0:
         raise ShapeError(f"window depth must be >= 0, got {depth}")
     if row < 1 or row + depth > len(rows):

@@ -104,6 +104,8 @@ class GraphSpec:
 
     def column_size(self, col: int) -> int:
         """Alphabet size of 1-based column `col`."""
+        if type(col) is not int:  # not bool, not 1.0
+            raise ShapeError(f"column {col!r} is not an integer")
         if col < 1 or col > self.diameter:
             raise ShapeError(f"column {col} out of range 1..{self.diameter}")
         return self.column_sizes()[col - 1]

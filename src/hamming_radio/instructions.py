@@ -37,11 +37,11 @@ ENUMERATION_CAP = 1 << 20  # most runs or columns an enumeration builds
 class InstructionSet:
     """The permutations f_2..f_n available at one position; f_k(k) = 1.
 
-    Membership and subscripts are looked up by images in a map built once.
+    Membership is looked up by images in a set built once.
     """
 
     instructions: tuple[Permutation, ...]
-    _subscripts: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    _members: frozenset[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         instrs = tuple(self.instructions)
@@ -59,31 +59,21 @@ class InstructionSet:
                 raise MembershipError("instructions must all permute the same 1..n")
             if sigma(k) != 1:
                 raise MembershipError(f"instruction f_{k} must send {k} to 1, got {sigma(k)}")
-        subscripts = {sigma.images: k for k, sigma in enumerate(instrs, start=2)}
-        object.__setattr__(self, "_subscripts", subscripts)
+        object.__setattr__(self, "_members", frozenset(sigma.images for sigma in instrs))
 
     @property
     def n(self) -> int:
         return self.instructions[0].n
 
     def by_subscript(self, k: int) -> Permutation:
+        if type(k) is not int:  # not bool, not 2.0
+            raise ShapeError(f"subscript {k!r} is not an integer")
         if not 2 <= k <= self.n:
             raise ShapeError(f"subscript {k} outside 2..{self.n}")
         return self.instructions[k - 2]
 
-    def subscript_of(self, sigma: Permutation) -> int:
-        """Recover k with sigma = f_k, looked up by sigma's images."""
-        if not isinstance(sigma, Permutation):
-            raise MembershipError(f"{sigma!r} is not a member of this instruction set")
-        if sigma.n != self.n:
-            raise MembershipError("permutation size does not match this instruction set")
-        k = self._subscripts.get(sigma.images)
-        if k is None:
-            raise MembershipError(f"{sigma!r} is not a member of this instruction set")
-        return k
-
     def __contains__(self, sigma: object) -> bool:
-        return isinstance(sigma, Permutation) and sigma.images in self._subscripts
+        return isinstance(sigma, Permutation) and sigma.images in self._members
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.instructions)
@@ -296,6 +286,8 @@ def enumerate_fixing_runs(
     """All legal runs of `length` instructions starting at row 2 whose
     composition fixes 1.  A value column repeats at gap s exactly where its
     trailing run of s instructions lands in this set."""
+    if type(length) is not int:  # not bool, not 2.0, not '2'
+        raise ShapeError(f"run length must be an integer, got {length!r}")
     if length < 1:
         raise ShapeError(f"run length must be >= 1, got {length}")
     _refuse_past_cap(gen, length, "candidate runs")
@@ -306,6 +298,8 @@ def enumerate_instruction_columns(
     gen: InstructionGenerator, length: int
 ) -> list[tuple[Permutation, ...]]:
     """Every legal instruction column of the given length, (n-1)**(length-2) total."""
+    if type(length) is not int:  # not bool, not 3.0, not '3'
+        raise ShapeError(f"column length must be an integer, got {length!r}")
     if length < 2:
         raise ShapeError(f"column length must be >= 2, got {length}")
     _refuse_past_cap(gen, length - 2, "columns")

@@ -10,11 +10,7 @@ lookups; the instruction layer's decode and encode loops read it directly.
 
 from __future__ import annotations
 
-import re
-
 from .errors import ShapeError
-
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 class Permutation:
@@ -41,6 +37,8 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, point: int) -> int:
+        if type(point) is not int:  # not bool, not 1.0
+            raise ShapeError(f"point {point!r} is not an integer")
         if not 1 <= point <= self.n:
             raise ShapeError(f"point {point} outside 1..{self.n}")
         return self.images[point - 1]
@@ -76,58 +74,9 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)})"
 
-    def cycle_string(self) -> str:
-        """Cycle notation, fixed points omitted; identity prints as 'id'."""
-        seen = [False] * self.n
-        parts: list[str] = []
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            nxt = self(start)
-            while nxt != start:
-                cyc.append(nxt)
-                seen[nxt - 1] = True
-                nxt = self(nxt)
-            if len(cyc) > 1:
-                parts.append("(" + "".join(str(x) for x in cyc) + ")")
-        return "".join(parts) if parts else "id"
-
 
 def identity(n: int) -> Permutation:
     return Permutation(range(1, n + 1))
-
-
-def from_cycles(n: int, text: str) -> Permutation:
-    """Parse cycle notation like '(123)' or '(12)(34)'; 'id' or '()' is the identity.
-
-    A cycle (a b c) maps a to b, b to c, c to a.  Points may be separated by
-    spaces or commas; single digits may be juxtaposed.
-    """
-    text = text.strip()
-    if text in ("id", "()", "e", ""):
-        return identity(n)
-    if not re.fullmatch(r"(\s*\([^()]*\)\s*)+", text):
-        raise ShapeError(f"bad cycle notation: {text!r}")
-    images = list(range(1, n + 1))
-    for body in _CYCLE_RE.findall(text):
-        body = body.strip()
-        if not body:
-            continue
-        if re.search(r"[\s,]", body):
-            points = [int(tok) for tok in re.split(r"[\s,]+", body) if tok]
-        else:
-            points = [int(ch) for ch in body]
-        if len(set(points)) != len(points):
-            raise ShapeError(f"cycle repeats a point: ({body})")
-        for p in points:
-            if not 1 <= p <= n:
-                raise ShapeError(f"cycle point {p} outside 1..{n}")
-        for a, b in zip(points, points[1:] + points[:1]):
-            images[a - 1] = b
-    perm = Permutation(images)
-    return perm
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:

@@ -36,12 +36,6 @@ class Ordering:
             raise ShapeError(f"ordering has {n} rows, spec needs {self.spec.num_vertices_text}")
         object.__setattr__(self, "rows", tuple(self.spec.validate_vertex(r) for r in self.rows))
 
-    def row(self, i: int) -> Vertex:
-        """1-based row access."""
-        if not 1 <= i <= len(self.rows):
-            raise ShapeError(f"row {i} out of range 1..{len(self.rows)}")
-        return self.rows[i - 1]
-
 
 @dataclass(frozen=True)
 class Labeling:
@@ -87,14 +81,6 @@ class RepetitionViolation:
 
     def __str__(self) -> str:
         return f"rows {self.row_a} and {self.row_b} are the same vertex"
-
-
-@dataclass(frozen=True, order=True)
-class NonConsecutiveViolation:
-    first_gap: int
-
-    def __str__(self) -> str:
-        return f"label {self.first_gap} is never used"
 
 
 def repetition_violations(rows: tuple[Vertex, ...]) -> list[RepetitionViolation]:
@@ -196,18 +182,6 @@ def verify_radio(labeling: Labeling) -> list[RadioViolation]:
             if fv - fu < shared + 1:
                 out.append(RadioViolation(row=fv, gap=fv - fu, shared=shared))
             j += 1
-    return out
-
-
-def check_labeling(labeling: Labeling) -> list:
-    """Radio violations plus a marker for the first missing label, if any."""
-    out: list = list(verify_radio(labeling))
-    if not is_consecutive(labeling):
-        used = set(labeling.assignment.values())
-        gap = 1
-        while gap in used:
-            gap += 1
-        out.append(NonConsecutiveViolation(first_gap=gap))
     return out
 
 

@@ -110,6 +110,21 @@ def test_distinct_column_count_window_errors(golden_k32):
         distinct_column_count(golden_k32, 9, 1)
 
 
+@pytest.mark.parametrize(
+    "row,depth,message",
+    [
+        (1, 1.5, "window depth 1.5 is not an integer"),
+        (1.0, 1, "window row 1.0 is not an integer"),
+        (True, True, "window row True is not an integer"),
+        (1, True, "window depth True is not an integer"),
+    ],
+)
+def test_distinct_column_count_takes_exact_integers(golden_k32, row, depth, message):
+    with pytest.raises(ShapeError) as err:
+        distinct_column_count(golden_k32, row, depth)
+    assert str(err.value) == message
+
+
 def test_distinct_column_profile(golden_k34):
     counts = [distinct_column_count(golden_k34, 10, depth) for depth in range(4)]
     assert counts[0] == golden_k34.spec.diameter

@@ -456,3 +456,69 @@ def test_verify_json_violation_entries_are_pinned(runner, tmp_path, golden_k34):
             (11, 3, 1), (12, 1, 1), (12, 2, 2), (80, 1, 2),
         ]
     ]
+
+
+def _write_rows(path, spec, rows):
+    path.write_text(f"spec: {spec}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    return str(path)
+
+
+def test_verify_labeling_text_prints_the_induced_labels(runner, tmp_path, golden_k32):
+    result = invoke(runner, "verify", "--labeling", str(golden_path("k3_2")))
+    assert result.exit_code == 0
+    assert result.output == (
+        "ok: 9 rows over 3^2 induce a consecutive radio labeling\n"
+        + "".join(f"row {i}: label {i}\n" for i in range(1, 10))
+    )
+    # an invalid ordering's greedy labels run past N
+    rows = list(golden_k32.rows)
+    rows[2], rows[6] = rows[6], rows[2]
+    result = invoke(runner, "verify", "--labeling", _write_rows(tmp_path / "bad.txt", "3^2", rows))
+    assert result.exit_code == 1
+    assert result.output == (
+        "violation: rows 3 and 4 (gap 1) share 1 coordinates, at most 0 allowed\n"
+        "violation: rows 6 and 7 (gap 1) share 1 coordinates, at most 0 allowed\n"
+        "2 problem(s) found\n"
+        + "".join(
+            f"row {i}: label {label}\n"
+            for i, label in enumerate([1, 2, 3, 5, 6, 7, 9, 10, 11], start=1)
+        )
+    )
+
+
+def test_verify_labeling_drops_the_labels_of_a_repeated_row(runner, tmp_path, golden_k32):
+    rows = list(golden_k32.rows)
+    rows[8] = rows[0]
+    doc = _write_rows(tmp_path / "repeated.txt", "3^2", rows)
+    result = invoke(runner, "verify", "--labeling", doc)
+    assert result.exit_code == 1
+    assert result.output == (
+        "violation: rows 8 and 9 (gap 1) share 1 coordinates, at most 0 allowed\n"
+        "violation: rows 1 and 9 are the same vertex\n"
+        "2 problem(s) found\n"
+    )
+    result = invoke(runner, "verify", "--labeling", "--format", "json", doc)
+    assert result.exit_code == 1
+    assert list(json.loads(result.output)) == ["ok", "spec", "violations"]
+
+
+def test_verify_boundary_text_lists_boundary_violations(runner, tmp_path, golden_k34):
+    rows = list(golden_k34.rows)
+    rows[10], rows[11] = rows[11], rows[10]
+    result = invoke(runner, "verify", "--boundary", _write_rows(tmp_path / "swap.txt", "3^4", rows))
+    assert result.exit_code == 1
+    forced = "coordinates, boundary structure forces exactly"
+    assert result.output == (
+        "violation: rows 10 and 11 (gap 1) share 1 coordinates, at most 0 allowed\n"
+        "violation: rows 9 and 11 (gap 2) share 2 coordinates, at most 1 allowed\n"
+        "violation: rows 12 and 13 (gap 1) share 1 coordinates, at most 0 allowed\n"
+        "violation: rows 12 and 14 (gap 2) share 2 coordinates, at most 1 allowed\n"
+        + "".join(
+            f"boundary violation: rows {a} and {b} share {shared} {forced} {b - a - 1}\n"
+            for a, b, shared in [
+                (9, 11, 2), (9, 12, 1), (10, 11, 1), (10, 12, 0),
+                (11, 13, 0), (11, 14, 1), (12, 13, 1), (12, 14, 2),
+            ]
+        )
+        + "12 problem(s) found\n"
+    )

@@ -101,6 +101,13 @@ def test_json_parse_errors(payload):
         parse_ordering_json(payload)
 
 
+def test_json_spec_the_graph_model_refuses_is_a_bad_spec_entry():
+    # a well-formed pair that make_graph_spec refuses: K_3 with no copies
+    with pytest.raises(DocumentError) as err:
+        parse_ordering_json('{"spec": [[3, 0]], "rows": []}')
+    assert str(err.value) == "bad spec entry: [[3, 0]]"
+
+
 def test_document_sniffing(golden_k32):
     doc = OrderingDocument.from_ordering(golden_k32)
     assert parse_ordering_document(serialize_ordering_json(doc)).rows == doc.rows
@@ -179,3 +186,11 @@ def test_parse_instruction_rows_errors(golden_k32):
     with pytest.raises(DocumentError) as err:
         parse_instruction_rows("id\nf2\nf3\n", spec, ("lru",))
     assert str(err.value) == "column 1 generator 'lru' is not an InstructionGenerator"
+
+
+def test_parse_instruction_rows_generator_of_the_wrong_size():
+    with pytest.raises(DocumentError) as err:
+        parse_instruction_rows(
+            "id\nf2\nf3\n", make_graph_spec([(3, 1)]), (builtin_generator("lru", 4),)
+        )
+    assert str(err.value) == "column 1 takes values 1..3, generator is over 1..4"

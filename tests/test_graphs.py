@@ -41,6 +41,20 @@ def test_product_derived_quantities():
 
 
 @pytest.mark.parametrize(
+    "col,message",
+    [
+        (1.0, "column 1.0 is not an integer"),
+        (True, "column True is not an integer"),
+        ("1", "column '1' is not an integer"),
+    ],
+)
+def test_column_size_takes_an_exact_integer(col, message):
+    with pytest.raises(ShapeError) as err:
+        make_graph_spec([(3, 4), (4, 7)]).column_size(col)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "factors",
     [
         [],

@@ -37,7 +37,6 @@ from .oracles import (
     oracle_recency_fixing_count,
     oracle_recover_instructions,
     oracle_run_fixes_one,
-    oracle_subscript_of,
     random_value_column,
     seeded,
 )
@@ -71,17 +70,12 @@ def test_instruction_set_validation():
 def test_instruction_set_lookup():
     iset = builtin_generator(GeneratorKind.LRU, 3).sets(identity(3))
     f2 = iset.by_subscript(2)
-    assert iset.subscript_of(f2) == 2
     assert f2 in iset
     assert identity(3) not in iset
     with pytest.raises(ShapeError):
         iset.by_subscript(1)
     with pytest.raises(ShapeError):
         iset.by_subscript(4)
-    with pytest.raises(MembershipError):
-        iset.subscript_of(identity(3))
-    with pytest.raises(MembershipError):
-        iset.subscript_of(identity(4))
 
 
 def test_builtin_sets_frozen_n3():
@@ -128,12 +122,6 @@ def test_history_dependent_sets():
             id="trace-row-1-string",
         ),
         pytest.param(
-            lambda: LRU3.sets(identity(3)).subscript_of("f2"),
-            MembershipError,
-            "'f2' is not a member of this instruction set",
-            id="subscript-of-string",
-        ),
-        pytest.param(
             lambda: InstructionSet((1, 2)),
             MembershipError,
             "instruction 1 is not a Permutation",
@@ -170,6 +158,60 @@ def test_history_dependent_sets():
             UnsupportedSizeError,
             "instruction machinery needs an integer n, got True",
             id="generator-n-bool",
+        ),
+        pytest.param(
+            lambda: LRU3.sets(identity(3)).by_subscript(2.0),
+            ShapeError,
+            "subscript 2.0 is not an integer",
+            id="subscript-float",
+        ),
+        pytest.param(
+            lambda: LRU3.sets(identity(3)).by_subscript(True),
+            ShapeError,
+            "subscript True is not an integer",
+            id="subscript-bool",
+        ),
+        pytest.param(
+            lambda: enumerate_fixing_runs(LRU3, 2.0),
+            ShapeError,
+            "run length must be an integer, got 2.0",
+            id="run-length-float",
+        ),
+        pytest.param(
+            lambda: enumerate_fixing_runs(LRU3, True),
+            ShapeError,
+            "run length must be an integer, got True",
+            id="run-length-bool",
+        ),
+        pytest.param(
+            lambda: enumerate_fixing_runs(LRU3, "2"),
+            ShapeError,
+            "run length must be an integer, got '2'",
+            id="run-length-string",
+        ),
+        pytest.param(
+            lambda: enumerate_instruction_columns(LRU3, 3.0),
+            ShapeError,
+            "column length must be an integer, got 3.0",
+            id="column-length-float",
+        ),
+        pytest.param(
+            lambda: enumerate_instruction_columns(LRU3, True),
+            ShapeError,
+            "column length must be an integer, got True",
+            id="column-length-bool",
+        ),
+        pytest.param(
+            lambda: InstructionSet((Permutation([2, 1, 3]), Permutation([3, 2, 1, 4]))),
+            MembershipError,
+            "instructions must all permute the same 1..n",
+            id="set-of-mixed-sizes",
+        ),
+        pytest.param(
+            lambda: builtin_generator("history", 3).sets(identity(4)),
+            MembershipError,
+            "previous instruction permutes a different 1..n",
+            id="history-after-other-size",
         ),
         pytest.param(
             lambda: builtin_generator("bogus", 3),
@@ -268,8 +310,8 @@ def _builtin_members(n):
 def test_decode_and_encode_match_the_reference_copies(kind, n):
     """recover_instructions, arrangement_trace, act and set membership agree
     with the reference copies in tests/oracles.py, which act through a fresh
-    inverse and test membership through subscript_of: equal results on valid
-    columns, and the same exception type and message on corrupted ones.
+    inverse and test membership through oracle_subscript_of: equal results on
+    valid columns, and the same exception type and message on corrupted ones.
     Every set for n >= 3 holds a 3-cycle, so a gather read from the images
     instead of the inverse images would fail here."""
     gen = builtin_generator(kind, n)
@@ -288,8 +330,6 @@ def test_decode_and_encode_match_the_reference_copies(kind, n):
             foreign = rng.choice([p for p in members if p not in iset])
             for probe in (sigma, foreign, other_size, identity(n)):
                 assert (probe in iset) == oracle_contains(iset, probe)
-                expected = _outcome(oracle_subscript_of, iset, probe)
-                assert _outcome(iset.subscript_of, probe) == expected
             assert ("f2" in iset) == oracle_contains(iset, "f2")
 
         pos = rng.randint(3, max(3, len(instructions)))

@@ -3,13 +3,11 @@ import pytest
 from hamming_radio.documents import parse_spec_string
 from hamming_radio.errors import RepetitionError, ShapeError
 from hamming_radio.graphs import GraphSpec, enumerate_vertices, make_graph_spec, shared_coordinates
-from hamming_radio.perms import Permutation, from_cycles
+from hamming_radio.perms import Permutation, identity
 from hamming_radio.verify import (
-    NonConsecutiveViolation,
     Ordering,
     RadioViolation,
     RepetitionViolation,
-    check_labeling,
     check_ordering,
     induced_labeling,
     is_consecutive,
@@ -40,12 +38,6 @@ def test_ordering_shape_validation(k32_spec):
     # 1.5s must not make this one pass check_ordering
     with pytest.raises(ShapeError, match="not an integer"):
         Ordering(make_graph_spec([(2, 2)]), ((1, 1), (2, 2), (1.5, 1.5), (1, 2)))
-    ordering = Ordering(k32_spec, ((1, 1),) * 9)
-    assert ordering.row(1) == (1, 1)
-    with pytest.raises(ShapeError):
-        ordering.row(0)
-    with pytest.raises(ShapeError):
-        ordering.row(10)
 
 
 def test_goldens_are_clean(golden_k32, golden_k34):
@@ -55,7 +47,6 @@ def test_goldens_are_clean(golden_k32, golden_k34):
         labeling = position_labeling(golden)
         assert is_consecutive(labeling)
         assert verify_radio(labeling) == []
-        assert check_labeling(labeling) == []
 
 
 def test_induced_labeling_on_valid_ordering_is_row_number(golden_k32, golden_k34):
@@ -161,8 +152,6 @@ def test_labeling_validation_and_consecutive(k32_spec):
     partial = Labeling(k32_spec, {(1, 1): 1, (2, 2): 3})
     assert not partial.is_total
     assert not is_consecutive(partial)
-    report = check_labeling(partial)
-    assert NonConsecutiveViolation(first_gap=2) in report
 
 
 def test_huge_labeling_is_sized_without_vertex_count(monkeypatch):
@@ -242,7 +231,7 @@ def test_permute_column_preserves_validity(golden_k34):
 
 
 def test_permute_column_round_trip(golden_k32):
-    sigma = from_cycles(3, "(123)")
+    sigma = Permutation([2, 3, 1])
     once = permute_column(golden_k32, 1, sigma)
     back = permute_column(once, 1, sigma.inverse())
     assert back.rows == golden_k32.rows
@@ -251,6 +240,19 @@ def test_permute_column_round_trip(golden_k32):
 def test_permute_column_shape_error(golden_k32):
     with pytest.raises(ShapeError):
         permute_column(golden_k32, 1, Permutation([2, 1]))
+
+
+@pytest.mark.parametrize(
+    "col,message",
+    [
+        (1.0, "column 1.0 is not an integer"),
+        (True, "column True is not an integer"),
+    ],
+)
+def test_permute_column_takes_an_exact_integer_column(golden_k32, col, message):
+    with pytest.raises(ShapeError) as err:
+        permute_column(golden_k32, col, identity(3))
+    assert str(err.value) == message
 
 
 def test_weak_rows_allowed_in_ordering():
