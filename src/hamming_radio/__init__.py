@@ -44,7 +44,6 @@ from .graphs import (
 from .instructions import (
     GeneratorKind,
     InstructionGenerator,
-    InstructionSet,
     OrderGenerator,
     arrangement_trace,
     build_column,

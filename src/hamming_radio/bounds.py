@@ -46,6 +46,8 @@ def distinct_column_count(ordering: Ordering, row: int, depth: int) -> int:
 
 def factor_threshold(size: int) -> int:
     """Cumulative column count at which a factor of this size forbids gracefulness."""
+    if type(size) is not int:  # not bool, not 3.0
+        raise SpecError(f"factor size must be an integer, got {size!r}")
     return 1 + size * (size * size - 1) // 6
 
 

@@ -238,10 +238,8 @@ def search(
 def generate(spec_string: str, instructions_path: str, kind: str, out_path: str | None, fmt: str) -> None:
     """Decode an instruction matrix into an ordering and validate it."""
     spec = parse_spec_string(spec_string)
-    # lazy, so the matrix's row count is checked before t generators are built
-    generators = (builtin_generator(kind, spec.column_size(j)) for j in range(1, spec.diameter + 1))
     with open(instructions_path, encoding="utf-8") as fh:
-        og = parse_instruction_rows(fh.read(), spec, generators)
+        og = parse_instruction_rows(fh.read(), spec, kind)
     ordering = materialize(og)
     violations = check_ordering(ordering)
     _emit(OrderingDocument.from_ordering(ordering, {"generator_kind": kind}), fmt, out_path)

@@ -10,11 +10,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .errors import DocumentError, RadioGraphError
 from .graphs import GraphSpec, make_graph_spec
-from .instructions import InstructionGenerator, OrderGenerator, make_order_generator
+from .instructions import GeneratorKind, InstructionGenerator, OrderGenerator, make_order_generator
 from .perms import Permutation, identity
 from .verify import Ordering
 
@@ -134,27 +133,20 @@ def parse_ordering_document(text: str) -> OrderingDocument:
 _TOKEN_RE = re.compile(r"f([0-9]+)")
 
 
-def parse_instruction_rows(
-    text: str, spec: GraphSpec, generators: Iterable[InstructionGenerator]
-) -> OrderGenerator:
+def parse_instruction_rows(text: str, spec: GraphSpec, kind: GeneratorKind | str) -> OrderGenerator:
     """Parse an instruction matrix of 'id' / 'f2' / 'f3' ... tokens.
 
-    Tokens are resolved against the set each column's generator offers after
-    the instruction one row up, so the same token can mean different
-    permutations for the history kind.  `generators` is read only after the
-    row count matches the spec, so a lazy iterable costs nothing on a refusal.
+    Each column's generator is built from `kind` and the column's size, after
+    the row count matches the spec.  Tokens are resolved against the set that
+    generator offers after the instruction one row up, so the same token can
+    mean different permutations for the history kind.
     """
     lines = [line.split() for line in text.splitlines() if line.strip()]
     n = len(lines)
     if not spec.has_vertex_count(n):
         raise DocumentError(f"instruction matrix has {n} rows, spec needs {spec.num_vertices_text}")
-    generators = tuple(generators)
+    generators = [InstructionGenerator(kind, size) for size in spec.column_sizes()]
     t = spec.diameter
-    if len(generators) != t:
-        raise DocumentError(f"need one generator per column ({t}), got {len(generators)}")
-    for col, gen in enumerate(generators, start=1):
-        if not isinstance(gen, InstructionGenerator):
-            raise DocumentError(f"column {col} generator {gen!r} is not an InstructionGenerator")
     for lineno, toks in enumerate(lines, start=1):
         if len(toks) != t:
             raise DocumentError(f"row {lineno} has {len(toks)} entries, expected {t}")
@@ -173,11 +165,11 @@ def parse_instruction_rows(
                 if not m:
                     raise DocumentError(f"row {i}: bad instruction token {tok!r}")
                 subscript = int(m.group(1))
-                iset = gen.sets(cells[-1][j])
-                try:
-                    sigma = iset.by_subscript(subscript)
-                except RadioGraphError as exc:
-                    raise DocumentError(f"row {i}, column {j + 1}: {exc}") from exc
+                if not 2 <= subscript <= gen.n:
+                    raise DocumentError(
+                        f"row {i}, column {j + 1}: subscript {subscript} outside 2..{gen.n}"
+                    )
+                sigma = gen.sets(cells[-1][j])[subscript - 2]
                 if i == 2 and subscript != 2:
                     raise DocumentError("row 2 must be 'f2' in every column")
             row.append(sigma)

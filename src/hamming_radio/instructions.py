@@ -3,14 +3,14 @@
 A length-N value column (first value 1, then 2, consecutive values distinct)
 can be encoded as a column of permutations: keep an arrangement of the n
 values, apply one permutation per row, and read off the front value.  An
-instruction set supplies the n-1 legal permutations f_2..f_n at each position,
-normalized so f_k moves the value in slot k to the front (f_k(k) = 1).  The
-set offered at a row depends at most on the instruction one row up, so a
-generator maps the previous instruction to the next set, and a column is a
-walk through those sets.  With row 1 fixed to the identity and row 2 to f_2,
-encoding and decoding are mutually inverse, and a value repeats at gap s
-exactly when the corresponding run of s instructions composes to something
-fixing slot 1.
+instruction set is the tuple of the n-1 legal permutations f_2..f_n at one
+position, in subscript order (f_k is entry k - 2) and normalized so f_k moves
+the value in slot k to the front (f_k(k) = 1).  The set offered at a row
+depends at most on the instruction one row up, so a generator maps the
+previous instruction to the next set, and a column is a walk through those
+sets.  With row 1 fixed to the identity and row 2 to f_2, encoding and
+decoding are mutually inverse, and a value repeats at gap s exactly when the
+corresponding run of s instructions composes to something fixing slot 1.
 """
 
 from __future__ import annotations
@@ -31,52 +31,6 @@ from .perms import Permutation, identity
 from .verify import Ordering, RadioViolation, repetition_violations
 
 ENUMERATION_CAP = 1 << 20  # most runs or columns an enumeration builds
-
-
-@dataclass(frozen=True)
-class InstructionSet:
-    """The permutations f_2..f_n available at one position; f_k(k) = 1.
-
-    Membership is looked up by images in a set built once.
-    """
-
-    instructions: tuple[Permutation, ...]
-    _members: frozenset[tuple[int, ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        instrs = tuple(self.instructions)
-        object.__setattr__(self, "instructions", instrs)
-        if not instrs:
-            raise MembershipError("instruction set cannot be empty")
-        for sigma in instrs:
-            if not isinstance(sigma, Permutation):
-                raise MembershipError(f"instruction {sigma!r} is not a Permutation")
-        n = instrs[0].n
-        if len(instrs) != n - 1:
-            raise MembershipError(f"expected {n - 1} instructions for n={n}, got {len(instrs)}")
-        for k, sigma in enumerate(instrs, start=2):
-            if sigma.n != n:
-                raise MembershipError("instructions must all permute the same 1..n")
-            if sigma(k) != 1:
-                raise MembershipError(f"instruction f_{k} must send {k} to 1, got {sigma(k)}")
-        object.__setattr__(self, "_members", frozenset(sigma.images for sigma in instrs))
-
-    @property
-    def n(self) -> int:
-        return self.instructions[0].n
-
-    def by_subscript(self, k: int) -> Permutation:
-        if type(k) is not int:  # not bool, not 2.0
-            raise ShapeError(f"subscript {k!r} is not an integer")
-        if not 2 <= k <= self.n:
-            raise ShapeError(f"subscript {k} outside 2..{self.n}")
-        return self.instructions[k - 2]
-
-    def __contains__(self, sigma: object) -> bool:
-        return isinstance(sigma, Permutation) and sigma.images in self._members
-
-    def __iter__(self) -> Iterator[Permutation]:
-        return iter(self.instructions)
 
 
 class GeneratorKind(Enum):
@@ -111,9 +65,10 @@ class InstructionGenerator:
         if self.n * (self.n - 1) > ENUMERATION_CAP:
             raise UnsupportedSizeError(f"n(n - 1) for n={self.n} exceeds the cap of {ENUMERATION_CAP}")
 
-    def sets(self, previous: Permutation) -> InstructionSet:
-        """The set offered after the instruction `previous`; for row 2,
-        `previous` is the identity in row 1."""
+    def sets(self, previous: Permutation) -> tuple[Permutation, ...]:
+        """The set f_2..f_n offered after the instruction `previous`, in
+        subscript order, so f_k is entry k - 2; for row 2, `previous` is the
+        identity in row 1."""
         if self.kind is GeneratorKind.LRU:
             return _lru_set(self.n)
         if self.kind is GeneratorKind.LTU:
@@ -128,7 +83,7 @@ class InstructionGenerator:
 
 
 @lru_cache(maxsize=None)
-def _lru_set(n: int) -> InstructionSet:
+def _lru_set(n: int) -> tuple[Permutation, ...]:
     out = []
     for k in range(2, n + 1):
         images = list(range(1, n + 1))
@@ -136,11 +91,11 @@ def _lru_set(n: int) -> InstructionSet:
             images[i - 1] = i + 1
         images[k - 1] = 1
         out.append(Permutation(images))
-    return InstructionSet(tuple(out))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _ltu_set(n: int) -> InstructionSet:
+def _ltu_set(n: int) -> tuple[Permutation, ...]:
     out = []
     for k in range(2, n + 1):
         images = list(range(1, n + 1))
@@ -149,11 +104,11 @@ def _ltu_set(n: int) -> InstructionSet:
         else:
             images[0], images[1], images[k - 1] = 2, k, 1
         out.append(Permutation(images))
-    return InstructionSet(tuple(out))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _recency_set(n: int, kprime: int) -> InstructionSet:
+def _recency_set(n: int, kprime: int) -> tuple[Permutation, ...]:
     """Sets keyed by the slot kprime that the previous instruction brought to
     the front (1 after the identity).
 
@@ -171,7 +126,7 @@ def _recency_set(n: int, kprime: int) -> InstructionSet:
             images[kprime - 1] = k
             images[k - 1] = 1
         out.append(Permutation(images))
-    return InstructionSet(tuple(out))
+    return tuple(out)
 
 
 def builtin_generator(kind: GeneratorKind | str, n: int) -> InstructionGenerator:
@@ -179,27 +134,40 @@ def builtin_generator(kind: GeneratorKind | str, n: int) -> InstructionGenerator
     return InstructionGenerator(kind, n)
 
 
+def _require_generator(gen: object) -> None:
+    if not isinstance(gen, InstructionGenerator):
+        raise MembershipError(f"generator {gen!r} is not an InstructionGenerator")
+
+
 def arrangement_trace(
     instructions: Sequence[Permutation], gen: InstructionGenerator
 ) -> list[tuple[int, ...]]:
     """Arrangements after each instruction, validating column membership."""
+    _require_generator(gen)
     instrs = tuple(instructions)
     n = gen.n
     if len(instrs) < 2:
         raise MembershipError("an instruction column needs at least two rows")
     if instrs[0] != identity(n):
         raise MembershipError("row 1 of an instruction column must be the identity")
-    if instrs[1] != gen.sets(instrs[0]).instructions[0]:
+    if instrs[1] != gen.sets(instrs[0])[0]:
         raise MembershipError("row 2 of an instruction column must be f_2")
     arr = tuple(range(1, n + 1))
     trace = [arr]
     for pos, (previous, sigma) in enumerate(zip(instrs, instrs[1:]), start=2):
-        if pos > 2 and sigma not in gen.sets(previous):
+        # gather[0] is sigma^-1(1) - 1.  Every member f_k sends k to 1, so sigma
+        # can only be f_k for k = gather[0] + 1, entry gather[0] - 1 of the set.
+        gather = sigma.gather() if isinstance(sigma, Permutation) else ()
+        if pos > 2 and (
+            len(gather) != n
+            or gather[0] == 0
+            or gen.sets(previous)[gather[0] - 1].images != sigma.images
+        ):
             raise MembershipError(
                 f"instruction at position {pos} is not offered by the generator"
             )
         # membership fixed sigma's size at n, so act's length check cannot fire
-        arr = tuple(map(arr.__getitem__, sigma.gather()))
+        arr = tuple(map(arr.__getitem__, gather))
         trace.append(arr)
     return trace
 
@@ -219,6 +187,7 @@ def recover_instructions(
     At each position the next value sits in some slot k of the current
     arrangement, and f_k is the unique member moving slot k to the front.
     """
+    _require_generator(gen)
     vals = tuple(values)
     for v in vals:
         if type(v) is not int:  # not bool, not 2.9, not '2'
@@ -239,9 +208,9 @@ def recover_instructions(
     out: list[Permutation] = [sigma]
     for target in vals[1:]:
         # The front of arr is the previous value, which differs from target
-        # (checked above), so slot >= 2 and by_subscript's range check cannot fire.
+        # (checked above), so slot >= 2 names a member f_slot.
         slot = arr.index(target) + 1
-        sigma = gen.sets(sigma).instructions[slot - 2]
+        sigma = gen.sets(sigma)[slot - 2]
         out.append(sigma)
         arr = tuple(map(arr.__getitem__, sigma.gather()))
     return tuple(out)
@@ -286,6 +255,7 @@ def enumerate_fixing_runs(
     """All legal runs of `length` instructions starting at row 2 whose
     composition fixes 1.  A value column repeats at gap s exactly where its
     trailing run of s instructions lands in this set."""
+    _require_generator(gen)
     if type(length) is not int:  # not bool, not 2.0, not '2'
         raise ShapeError(f"run length must be an integer, got {length!r}")
     if length < 1:
@@ -298,12 +268,13 @@ def enumerate_instruction_columns(
     gen: InstructionGenerator, length: int
 ) -> list[tuple[Permutation, ...]]:
     """Every legal instruction column of the given length, (n-1)**(length-2) total."""
+    _require_generator(gen)
     if type(length) is not int:  # not bool, not 3.0, not '3'
         raise ShapeError(f"column length must be an integer, got {length!r}")
     if length < 2:
         raise ShapeError(f"column length must be >= 2, got {length}")
     _refuse_past_cap(gen, length - 2, "columns")
-    head = (identity(gen.n), gen.sets(identity(gen.n)).by_subscript(2))
+    head = (identity(gen.n), gen.sets(identity(gen.n))[0])
     return [head + walk for walk in _walks(gen, head[1], length - 2)]
 
 

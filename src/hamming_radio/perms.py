@@ -79,8 +79,15 @@ def identity(n: int) -> Permutation:
     return Permutation(range(1, n + 1))
 
 
+def require_permutation(sigma: object) -> None:
+    if not isinstance(sigma, Permutation):
+        raise ShapeError(f"{sigma!r} is not a Permutation")
+
+
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """Apply a first, then b (the function b o a)."""
+    require_permutation(a)
+    require_permutation(b)
     if a.n != b.n:
         raise ShapeError(f"cannot compose permutations of sizes {a.n} and {b.n}")
     return Permutation(b(a(i)) for i in range(1, a.n + 1))
@@ -89,6 +96,7 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
 def act(sigma: Permutation, arrangement: tuple) -> tuple:
     """Rearrange a tuple: slot p of the result takes the value from slot
     inverse(p), read through sigma's cached gather."""
+    require_permutation(sigma)
     if len(arrangement) != sigma.n:
         raise ShapeError(
             f"arrangement of length {len(arrangement)} under permutation of {sigma.n}"

@@ -14,12 +14,13 @@ pairs whose labels differ by less than t: every other pair meets the condition.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import eq
 
 from .errors import RepetitionError, ShapeError
 from .graphs import GraphSpec, Vertex, shared_coordinates
-from .perms import Permutation
+from .perms import Permutation, require_permutation
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,8 @@ class Labeling:
     assignment: dict[Vertex, int]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.assignment, Mapping):
+            raise ShapeError(f"assignment {self.assignment!r} is not a mapping of vertices to labels")
         clean = {}
         for v, label in self.assignment.items():
             v = self.spec.validate_vertex(v)
@@ -192,6 +195,7 @@ def permute_column(ordering: Ordering, col: int, sigma: Permutation) -> Ordering
     to valid orderings.
     """
     size = ordering.spec.column_size(col)
+    require_permutation(sigma)
     if sigma.n != size:
         raise ShapeError(f"column {col} takes values 1..{size}, permutation is on 1..{sigma.n}")
     new_rows = tuple(

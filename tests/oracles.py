@@ -297,7 +297,7 @@ def oracle_k34_transitions():
     goes to column c and f_3 to the rest, and the new row reads off the fronts.
     """
     iset = builtin_generator(GeneratorKind.LRU, 3).sets(identity(3))
-    f2, f3 = iset.by_subscript(2), iset.by_subscript(3)
+    f2, f3 = iset
     vertices = list(itertools.product((1, 2, 3), repeat=4))
     out = {}
     for u, v in itertools.product(vertices, repeat=2):
@@ -500,10 +500,10 @@ def oracle_act(sigma, arrangement):
 
 def oracle_subscript_of(iset, sigma):
     """Recover k with sigma = f_k.  Any member sends its subscript to 1."""
-    if sigma.n != iset.n:
+    if sigma.n != iset[0].n:
         raise MembershipError("permutation size does not match this instruction set")
     k = sigma.inverse()(1)
-    if k < 2 or iset.instructions[k - 2] != sigma:
+    if k < 2 or iset[k - 2] != sigma:
         raise MembershipError(f"{sigma!r} is not a member of this instruction set")
     return k
 
@@ -532,7 +532,7 @@ def oracle_arrangement_trace(instructions, gen):
         sigma = instrs[pos - 1]
         iset = gen.sets(instrs[pos - 2])
         if pos == 2:
-            if sigma != iset.by_subscript(2):
+            if sigma != iset[0]:
                 raise MembershipError("row 2 of an instruction column must be f_2")
         elif not oracle_contains(iset, sigma):
             raise MembershipError(
@@ -566,7 +566,7 @@ def oracle_recover_instructions(values, gen):
     for pos in range(2, len(vals) + 1):
         target = vals[pos - 1]
         slot = arr.index(target) + 1
-        sigma = gen.sets(out[-1]).by_subscript(slot)
+        sigma = gen.sets(out[-1])[slot - 2]
         out.append(sigma)
         arr = oracle_act(sigma, arr)
     return tuple(out)

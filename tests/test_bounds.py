@@ -36,6 +36,13 @@ def test_factor_threshold_frozen_values():
     assert factor_threshold(5) == 21
 
 
+@pytest.mark.parametrize("size", [3.0, True, "3"])
+def test_factor_threshold_takes_an_exact_integer(size):
+    with pytest.raises(SpecError) as err:
+        factor_threshold(size)
+    assert str(err.value) == f"factor size must be an integer, got {size!r}"
+
+
 def test_factor_threshold_matches_double_sum():
     # closed form 1 + n(n^2-1)/6 must equal one plus the summed window losses
     for n in range(2, 12):

@@ -248,6 +248,15 @@ def test_generate_parse_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_generate_k2_column_is_an_input_error(runner, tmp_path):
+    # the parser builds one generator per column, and K2 has no instruction set
+    matrix = tmp_path / "instructions.txt"
+    matrix.write_text("id id\n" + "f2 f2\n" * 5)
+    result = invoke(runner, "generate", "2x3", str(matrix))
+    assert result.exit_code == 2, result.output
+    assert result.stderr == "error: instruction machinery needs n >= 3, got 2\n"
+
+
 def test_verify_non_utf8_is_an_input_error(runner, tmp_path):
     # byte 0xff used to raise UnicodeDecodeError and exit 1, "violations found"
     doc = tmp_path / "doc.txt"

@@ -148,49 +148,26 @@ def instruction_text_for(ordering, gen) -> str:
 
 @pytest.mark.parametrize("kind", list(GeneratorKind))
 def test_parse_instruction_rows_reconstructs_golden(golden_k34, kind):
-    gen = builtin_generator(kind, 3)
-    text = instruction_text_for(golden_k34, gen)
-    generators = (gen,) * 4
-    og = parse_instruction_rows(text, golden_k34.spec, generators)
+    text = instruction_text_for(golden_k34, builtin_generator(kind, 3))
+    og = parse_instruction_rows(text, golden_k34.spec, kind)
     assert materialize(og).rows == golden_k34.rows
 
 
 def test_parse_instruction_rows_errors(golden_k32):
     spec = make_graph_spec([(3, 1)])
-    gen = builtin_generator(GeneratorKind.LRU, 3)
-    generators = (gen,)
     with pytest.raises(DocumentError):
-        parse_instruction_rows("id\nf2\n", spec, generators)  # needs 3 rows
+        parse_instruction_rows("id\nf2\n", spec, "lru")  # needs 3 rows
     with pytest.raises(DocumentError):
-        parse_instruction_rows("id id\nf2 f2\nf3 f3\n", spec, generators)
+        parse_instruction_rows("id id\nf2 f2\nf3 f3\n", spec, "lru")
     with pytest.raises(DocumentError):
-        parse_instruction_rows("f2\nf2\nf3\n", spec, generators)  # row 1 must be id
+        parse_instruction_rows("f2\nf2\nf3\n", spec, "lru")  # row 1 must be id
     with pytest.raises(DocumentError):
-        parse_instruction_rows("id\nf3\nf3\n", spec, generators)  # row 2 must be f2
+        parse_instruction_rows("id\nf3\nf3\n", spec, "lru")  # row 2 must be f2
     with pytest.raises(DocumentError):
-        parse_instruction_rows("id\nf2\nfx\n", spec, generators)
+        parse_instruction_rows("id\nf2\nfx\n", spec, "lru")
     for token in ("f+3", "f\uff13", "f\u0663"):
         with pytest.raises(DocumentError):
-            parse_instruction_rows(f"id\nf2\n{token}\n", spec, generators)
-    with pytest.raises(DocumentError):
-        parse_instruction_rows("id\nf2\nf9\n", spec, generators)  # subscript out of range
-    # the generator count is checked before any token is read
-    two_columns = make_graph_spec([(3, 2)])
-    matrix = "id id\nf2 fx\n" + "f2 f2\n" * 7  # the bad token is never reached
-    for count in (1, 3):
-        with pytest.raises(DocumentError) as err:
-            parse_instruction_rows(matrix, two_columns, (gen,) * count)
-        assert str(err.value) == f"need one generator per column (2), got {count}"
-    # a generator entry that is not an InstructionGenerator is refused before its
-    # attributes are read
+            parse_instruction_rows(f"id\nf2\n{token}\n", spec, "lru")
     with pytest.raises(DocumentError) as err:
-        parse_instruction_rows("id\nf2\nf3\n", spec, ("lru",))
-    assert str(err.value) == "column 1 generator 'lru' is not an InstructionGenerator"
-
-
-def test_parse_instruction_rows_generator_of_the_wrong_size():
-    with pytest.raises(DocumentError) as err:
-        parse_instruction_rows(
-            "id\nf2\nf3\n", make_graph_spec([(3, 1)]), (builtin_generator("lru", 4),)
-        )
-    assert str(err.value) == "column 1 takes values 1..3, generator is over 1..4"
+        parse_instruction_rows("id\nf2\nf9\n", spec, "lru")
+    assert str(err.value) == "row 3, column 1: subscript 9 outside 2..3"

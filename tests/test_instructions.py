@@ -14,7 +14,6 @@ from hamming_radio.graphs import make_graph_spec
 from hamming_radio.instructions import (
     GeneratorKind,
     InstructionGenerator,
-    InstructionSet,
     arrangement_trace,
     build_column,
     builtin_generator,
@@ -52,30 +51,11 @@ LRU3 = builtin_generator(GeneratorKind.LRU, 3)
 LRU3_F2, LRU3_F3 = LRU3.sets(identity(3))
 
 
-def test_instruction_set_validation():
-    f2 = Permutation([2, 1, 3])
-    f3 = Permutation([2, 3, 1])
-    ok = InstructionSet((f2, f3))
-    assert ok.n == 3
-    with pytest.raises(MembershipError):
-        InstructionSet(())
-    with pytest.raises(MembershipError):
-        InstructionSet((f2,))  # needs n - 1 = 2 members for n = 3
-    with pytest.raises(MembershipError):
-        InstructionSet((f2, Permutation([1, 3, 2])))  # slot for f_3 must send 3 to 1
-    with pytest.raises(MembershipError):
-        InstructionSet((f3, f2))  # first slot must satisfy f_2(2) = 1
-
-
 def test_instruction_set_lookup():
     iset = builtin_generator(GeneratorKind.LRU, 3).sets(identity(3))
-    f2 = iset.by_subscript(2)
+    f2 = iset[0]
     assert f2 in iset
     assert identity(3) not in iset
-    with pytest.raises(ShapeError):
-        iset.by_subscript(1)
-    with pytest.raises(ShapeError):
-        iset.by_subscript(4)
 
 
 def test_builtin_sets_frozen_n3():
@@ -102,11 +82,11 @@ def test_history_dependent_sets():
     # after the identity in row 1 the set degenerates to plain transpositions
     first = gen.sets(identity(3))
     assert [s.images for s in first] == [(2, 1, 3), (3, 2, 1)]
-    f2 = first.by_subscript(2)
+    f2 = first[0]
     after_f2 = gen.sets(f2)
     # previous front value came from slot 2, so f_3 cycles 1 -> 2 -> 3 -> 1
     assert [s.images for s in after_f2] == [(2, 1, 3), (2, 3, 1)]
-    f3 = after_f2.by_subscript(3)
+    f3 = after_f2[1]
     after_f3 = gen.sets(f3)
     # previous front came from slot 3: f_2 cycles 1 -> 3 -> 2 -> 1, f_3 = (13)
     assert [s.images for s in after_f3] == [(3, 1, 2), (3, 2, 1)]
@@ -120,12 +100,6 @@ def test_history_dependent_sets():
             MembershipError,
             ROW_1_MESSAGE,
             id="trace-row-1-string",
-        ),
-        pytest.param(
-            lambda: InstructionSet((1, 2)),
-            MembershipError,
-            "instruction 1 is not a Permutation",
-            id="set-of-ints",
         ),
         pytest.param(
             lambda: builtin_generator("history", 3).sets("f2"),
@@ -160,18 +134,6 @@ def test_history_dependent_sets():
             id="generator-n-bool",
         ),
         pytest.param(
-            lambda: LRU3.sets(identity(3)).by_subscript(2.0),
-            ShapeError,
-            "subscript 2.0 is not an integer",
-            id="subscript-float",
-        ),
-        pytest.param(
-            lambda: LRU3.sets(identity(3)).by_subscript(True),
-            ShapeError,
-            "subscript True is not an integer",
-            id="subscript-bool",
-        ),
-        pytest.param(
             lambda: enumerate_fixing_runs(LRU3, 2.0),
             ShapeError,
             "run length must be an integer, got 2.0",
@@ -202,16 +164,34 @@ def test_history_dependent_sets():
             id="column-length-bool",
         ),
         pytest.param(
-            lambda: InstructionSet((Permutation([2, 1, 3]), Permutation([3, 2, 1, 4]))),
-            MembershipError,
-            "instructions must all permute the same 1..n",
-            id="set-of-mixed-sizes",
-        ),
-        pytest.param(
             lambda: builtin_generator("history", 3).sets(identity(4)),
             MembershipError,
             "previous instruction permutes a different 1..n",
             id="history-after-other-size",
+        ),
+        pytest.param(
+            lambda: enumerate_fixing_runs("lru", 2),
+            MembershipError,
+            "generator 'lru' is not an InstructionGenerator",
+            id="runs-of-a-string",
+        ),
+        pytest.param(
+            lambda: enumerate_instruction_columns("lru", 3),
+            MembershipError,
+            "generator 'lru' is not an InstructionGenerator",
+            id="columns-of-a-string",
+        ),
+        pytest.param(
+            lambda: recover_instructions([1, 2, 3], "lru"),
+            MembershipError,
+            "generator 'lru' is not an InstructionGenerator",
+            id="recover-with-a-string",
+        ),
+        pytest.param(
+            lambda: arrangement_trace([identity(3), LRU3_F2], "lru"),
+            MembershipError,
+            "generator 'lru' is not an InstructionGenerator",
+            id="trace-with-a-string",
         ),
         pytest.param(
             lambda: builtin_generator("bogus", 3),
@@ -236,8 +216,7 @@ def test_generator_construction_errors():
 
 def test_arrangement_trace_worked_example():
     gen = builtin_generator(GeneratorKind.LRU, 3)
-    iset = gen.sets(identity(3))
-    f2, f3 = iset.by_subscript(2), iset.by_subscript(3)
+    f2, f3 = gen.sets(identity(3))
     trace = arrangement_trace([identity(3), f2, f3, f2], gen)
     assert trace == [(1, 2, 3), (2, 1, 3), (3, 2, 1), (2, 3, 1)]
     assert build_column([identity(3), f2, f3, f2], gen) == (1, 2, 3, 2)
@@ -245,8 +224,7 @@ def test_arrangement_trace_worked_example():
 
 def test_arrangement_trace_membership_errors():
     gen = builtin_generator(GeneratorKind.LRU, 3)
-    iset = gen.sets(identity(3))
-    f2, f3 = iset.by_subscript(2), iset.by_subscript(3)
+    f2, f3 = gen.sets(identity(3))
     with pytest.raises(MembershipError):
         arrangement_trace([identity(3)], gen)
     with pytest.raises(MembershipError):
@@ -315,7 +293,7 @@ def test_decode_and_encode_match_the_reference_copies(kind, n):
     Every set for n >= 3 holds a 3-cycle, so a gather read from the images
     instead of the inverse images would fail here."""
     gen = builtin_generator(kind, n)
-    other_size = builtin_generator(kind, n + 1).sets(identity(n + 1)).by_subscript(2)
+    other_size = builtin_generator(kind, n + 1).sets(identity(n + 1))[0]
     members = _builtin_members(n)
     rng = seeded(100 * n + len(kind.value))
     for _ in range(15):
@@ -336,7 +314,7 @@ def test_decode_and_encode_match_the_reference_copies(kind, n):
         offered = gen.sets(instructions[pos - 2]) if pos <= len(instructions) else None
         corrupted = [
             (1, instructions[1]),  # row 1 not the identity
-            (2, gen.sets(identity(n)).by_subscript(3)),  # row 2 not f_2
+            (2, gen.sets(identity(n))[1]),  # row 2 not f_2
             (1, other_size),
             (2, other_size),
             (1, "id"),
@@ -487,15 +465,13 @@ def test_repetition_run_equivalence_exhaustive():
 
 def test_subscript_string():
     gen = builtin_generator(GeneratorKind.LRU, 3)
-    iset = gen.sets(identity(3))
-    assert subscript_string([iset.by_subscript(2), iset.by_subscript(3)]) == "f2 f3"
+    assert subscript_string(gen.sets(identity(3))) == "f2 f3"
 
 
 def test_order_generator_validation():
     spec = make_graph_spec([(3, 1)])
     gen = builtin_generator(GeneratorKind.LRU, 3)
-    iset = gen.sets(identity(3))
-    f2, f3 = iset.by_subscript(2), iset.by_subscript(3)
+    f2, f3 = gen.sets(identity(3))
     good = make_order_generator(spec, [(identity(3),), (f2,), (f3,)], gen)
     assert materialize(good).rows == ((1,), (2,), (3,))
     with pytest.raises(ShapeError):

@@ -41,6 +41,21 @@ def test_entries_must_be_exact_integers(images, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: compose([1, 2], [2, 1]), "[1, 2] is not a Permutation"),
+        (lambda: compose(identity(2), [2, 1]), "[2, 1] is not a Permutation"),
+        (lambda: act([2, 1], (1, 2)), "[2, 1] is not a Permutation"),
+    ],
+    ids=["compose-first", "compose-second", "act"],
+)
+def test_non_permutation_arguments_raise_shape_error(call, message):
+    with pytest.raises(ShapeError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_immutability_and_equality():
     p = Permutation([2, 1])
     with pytest.raises(AttributeError):

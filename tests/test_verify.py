@@ -149,6 +149,9 @@ def test_labeling_validation_and_consecutive(k32_spec):
     for labels in ({(1, 1): 1.9, (2, 2): 2.2}, {(1, 1): True}, {(1, 1): "1"}):
         with pytest.raises(ShapeError, match="is not a positive integer"):
             Labeling(k32_spec, labels)
+    with pytest.raises(ShapeError) as err:
+        Labeling(k32_spec, [((1, 1), 1)])
+    assert str(err.value) == "assignment [((1, 1), 1)] is not a mapping of vertices to labels"
     partial = Labeling(k32_spec, {(1, 1): 1, (2, 2): 3})
     assert not partial.is_total
     assert not is_consecutive(partial)
@@ -240,6 +243,9 @@ def test_permute_column_round_trip(golden_k32):
 def test_permute_column_shape_error(golden_k32):
     with pytest.raises(ShapeError):
         permute_column(golden_k32, 1, Permutation([2, 1]))
+    with pytest.raises(ShapeError) as err:
+        permute_column(golden_k32, 1, [2, 1, 3])
+    assert str(err.value) == "[2, 1, 3] is not a Permutation"
 
 
 @pytest.mark.parametrize(
