@@ -48,6 +48,8 @@ def factor_threshold(size: int) -> int:
     """Cumulative column count at which a factor of this size forbids gracefulness."""
     if type(size) is not int:  # not bool, not 3.0
         raise SpecError(f"factor size must be an integer, got {size!r}")
+    if size < 2:
+        raise SpecError(f"complete factor needs size >= 2, got {size}")
     return 1 + size * (size * size - 1) // 6
 
 

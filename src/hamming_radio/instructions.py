@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .graphs import GraphSpec, make_graph_spec
-from .perms import Permutation, identity
+from .perms import Permutation, identity, require_permutation
 from .verify import Ordering, RadioViolation, repetition_violations
 
 ENUMERATION_CAP = 1 << 20  # most runs or columns an enumeration builds
@@ -220,6 +220,7 @@ def run_fixes_one(run: Iterable[Permutation]) -> bool:
     """Does applying the run left to right bring slot 1's value back to the front?"""
     point = 1
     for sigma in run:
+        require_permutation(sigma)
         point = sigma(point)
     return point == 1
 
@@ -281,7 +282,11 @@ def enumerate_instruction_columns(
 def subscript_string(run: Iterable[Permutation]) -> str:
     """Readable form of a run, e.g. 'f2 f3 f3'.  Members always send their
     subscript to 1, so the subscript is recoverable from the permutation."""
-    return " ".join(f"f{sigma.inverse()(1)}" for sigma in run)
+    names = []
+    for sigma in run:
+        require_permutation(sigma)
+        names.append(f"f{sigma.inverse()(1)}")
+    return " ".join(names)
 
 
 @dataclass(frozen=True)
@@ -332,8 +337,14 @@ def make_order_generator(
     return OrderGenerator(spec, cells, generators)
 
 
+def _require_order_generator(og: object) -> None:
+    if not isinstance(og, OrderGenerator):
+        raise MembershipError(f"order generator {og!r} is not an OrderGenerator")
+
+
 def materialize(og: OrderGenerator) -> Ordering:
     """The decoded ordering, which the OrderGenerator built when it was made."""
+    _require_order_generator(og)
     return og.ordering
 
 
@@ -348,6 +359,7 @@ def check_order_generator(og: OrderGenerator) -> list:
     the window counts are kept apart from check_ordering on purpose, as an
     independent cross-check of it.
     """
+    _require_order_generator(og)
     t = og.spec.diameter
     out: list = []
     # windows[j][s - 1] is where the trailing run of s instructions in column

@@ -7,7 +7,9 @@ applies the rule to all candidates at once as bitsets: per-column value
 masks, built in one pass over the candidate list, give each recent row the
 set of candidates sharing k or more coordinates with it, and a level's
 children are the bits left over.
-Only the last rows' masks are kept, so memory does not grow with depth, and
+A row's masks are computed once per search, in a memo of at most
+MASK_BIT_CAP bits that holds every position when N <= 322; apart from it
+only the last rows' masks are kept, so memory does not grow with depth, and
 all candidates meet a row at once, which verify's window kernel cannot do.
 search_k34_reduced searches K_3^4 as a walk over step vectors in Z_3^4: each
 step is +-1 in every coordinate and negates one coordinate of the step
@@ -155,6 +157,25 @@ def _column_masks(candidates: list[Vertex], sizes: tuple[int, ...]) -> list[list
     return masks
 
 
+def _at_least(
+    candidates: list[Vertex],
+    column_masks: list[list[int]],
+    updates: list[range],
+    everything: int,
+    pos: int,
+) -> list[int]:
+    """at_least[k] for 1 <= k < t: the candidates sharing k or more
+    coordinates with candidates[pos], where updates[j] lists the k that
+    column j raises, largest first.  at_least[0] is everything, and
+    at_least[t] stays 0 because a row t back constrains nothing."""
+    masks = [everything] + [0] * len(updates)
+    for by_value, value, ks in zip(column_masks, candidates[pos], updates):
+        same = by_value[value]
+        for k in ks:
+            masks[k] |= masks[k - 1] & same
+    return masks
+
+
 def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> SearchOutcome:
     """Depth-first search for a full valid ordering of the given graph.
 
@@ -176,15 +197,20 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
     more coordinates with that row, so a level's admissible set is every
     position neither used nor in at_least[k] of the row k back, for k < t.
     Its children are the set bits in increasing position, which is candidate
-    order, so the visit order is the plain scan's.  Memory stays flat: the
-    window holds the last t - 1 rows plus at most one more, a suspended level
-    keeps only its resume position and re-reads the admissible set when it
-    resumes, and a pop that leaves fewer than t - 1 rows in the window
-    recomputes the masks of the one row that re-enters it.  The extra row
-    makes a dead end's step and pop cost no recompute.  The masks are built
-    outside time_budget, so more than MASK_BIT_CAP mask bits raise
-    TooLargeError before N is computed.  That refuses every N > 10^6 too:
-    sizes summing to 33 or less give N <= 3^11, and 34 x 10^6 > 2^25.
+    order, so the visit order is the plain scan's.  A row's masks depend
+    only on its position, so they are computed once per search and kept in
+    an LRU memo of MASK_BIT_CAP // N^2 positions: an entry is t + 1 <= N
+    masks of N bits, so the memo holds at most MASK_BIT_CAP bits, and every
+    position when N <= 322.  Memory stays flat: the window holds the last
+    t - 1 rows plus at most one more, a suspended level keeps only its resume
+    position and re-reads the admissible set when it resumes, and a pop that
+    leaves fewer than t - 1 rows in the window reads the masks of the one row
+    that re-enters it from the memo, computing them again only if the memo
+    has dropped them.  The extra row makes a dead end's step and pop read
+    no masks back.  The column masks are built outside time_budget, so
+    more than MASK_BIT_CAP mask bits raise TooLargeError before N is
+    computed.  That refuses every N > 10^6 too: sizes summing to 33 or less
+    give N <= 3^11, and 34 x 10^6 > 2^25.
     """
     config = config or SearchConfig()
     if spec.has_more_vertices_than(MASK_BIT_CAP // sum(f.size * f.copies for f in spec.factors)):
@@ -204,16 +230,11 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
     used = 0
     free = everything  # admissible positions after the current rows
 
-    def at_least(pos: int) -> list[int]:
-        """at_least[k] for 1 <= k < t: candidates sharing k or more
-        coordinates with candidates[pos]; at_least[0] is everything, and
-        at_least[t] stays 0 because a row t back constrains nothing."""
-        masks = [everything] + [0] * t
-        for by_value, value, ks in zip(column_masks, candidates[pos], updates):
-            same = by_value[value]
-            for k in ks:
-                masks[k] |= masks[k - 1] & same
-        return masks
+    # at_least(pos): the masks of candidates[pos], from the memo when it keeps
+    # them; the memo hands out one shared list per position, so nothing mutates it
+    at_least = functools.lru_cache(maxsize=max(1, MASK_BIT_CAP // n_total**2))(
+        functools.partial(_at_least, candidates, column_masks, updates, everything)
+    )
 
     def refresh() -> None:
         nonlocal free

@@ -43,6 +43,13 @@ def test_factor_threshold_takes_an_exact_integer(size):
     assert str(err.value) == f"factor size must be an integer, got {size!r}"
 
 
+@pytest.mark.parametrize("size", [1, 0, -3])
+def test_factor_threshold_refuses_sizes_below_two(size):
+    with pytest.raises(SpecError) as err:
+        factor_threshold(size)
+    assert str(err.value) == f"complete factor needs size >= 2, got {size}"
+
+
 def test_factor_threshold_matches_double_sum():
     # closed form 1 + n(n^2-1)/6 must equal one plus the summed window losses
     for n in range(2, 12):

@@ -194,6 +194,30 @@ def test_history_dependent_sets():
             id="trace-with-a-string",
         ),
         pytest.param(
+            lambda: check_order_generator("x"),
+            MembershipError,
+            "order generator 'x' is not an OrderGenerator",
+            id="check-a-string",
+        ),
+        pytest.param(
+            lambda: materialize("x"),
+            MembershipError,
+            "order generator 'x' is not an OrderGenerator",
+            id="materialize-a-string",
+        ),
+        pytest.param(
+            lambda: subscript_string(["a"]),
+            ShapeError,
+            "'a' is not a Permutation",
+            id="subscripts-of-strings",
+        ),
+        pytest.param(
+            lambda: run_fixes_one([1, 2]),
+            ShapeError,
+            "1 is not a Permutation",
+            id="run-of-ints",
+        ),
+        pytest.param(
             lambda: builtin_generator("bogus", 3),
             MembershipError,
             "'bogus' is not a valid GeneratorKind",

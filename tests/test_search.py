@@ -21,6 +21,7 @@ from hamming_radio.instructions import (
 from hamming_radio.search import (
     SearchConfig,
     SearchStatus,
+    _at_least,
     _k34_moves,
     _k34_successors,
     brute_force_radio_graceful,
@@ -306,6 +307,9 @@ def test_search_node_budget_is_exact():
         (None, {"node_budget": 50_000, "seed": 7}, ("budget exceeded", 50_001, 73)),
         # 4,096 vertices: the former per-candidate scan took about 40 s for this row on a 2-core VM
         ([(4, 6)], {"node_budget": 20_000}, ("budget exceeded", 20_001, 3_409)),
+        # the mask memo holds fewer positions than N: 85 of 625 and 19 of 1,296
+        ([(5, 4)], {"node_budget": 50_000}, ("budget exceeded", 50_001, 523)),
+        ([(3, 4), (4, 2)], {"node_budget": 50_000}, ("budget exceeded", 50_001, 221)),
     ],
 )
 def test_search_counts_are_pinned(factors, config, expected):
@@ -411,10 +415,11 @@ def test_found_orderings_start_pinned_and_round_trip(factors):
 
 @pytest.mark.parametrize("factors,budget", [([(4, 6)], 5_000), ([(4, 7)], 3_000)])
 def test_generic_search_memory_is_flat(factors, budget):
-    """Masks are kept for the last t - 1 rows and one spare only, never per
-    vertex or per suspended level.  Both runs dive about 3,000 rows deep; a
-    per-vertex mask cache peaks near 12 MiB on 4^6, and an N-bit mask held by
-    every suspended level near 9 MiB on 4^7 (16,384 vertices)."""
+    """The window keeps masks for the last t - 1 rows and one spare, the memo
+    for at most MASK_BIT_CAP // N^2 positions (2 on 4^6, 1 on 4^7), and no
+    suspended level keeps any.  Both runs dive about 3,000 rows deep; a memo
+    of every position placed peaks near 12 MiB on 4^6, and an N-bit mask held
+    by every suspended level near 9 MiB on 4^7 (16,384 vertices)."""
     tracemalloc.start()
     try:
         outcome = search_ordering(make_graph_spec(factors), SearchConfig(node_budget=budget))
@@ -423,6 +428,21 @@ def test_generic_search_memory_is_flat(factors, budget):
         tracemalloc.stop()
     assert outcome.nodes_explored == budget + 1
     assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_masks_are_computed_once_per_position(monkeypatch):
+    """On 4^3 the memo holds all 64 positions, so no row's masks are computed
+    twice, however often a backtrack brings the row back into the window."""
+    computed = []
+
+    def counting(candidates, column_masks, updates, everything, pos):
+        computed.append(pos)
+        return _at_least(candidates, column_masks, updates, everything, pos)
+
+    monkeypatch.setattr(search, "_at_least", counting)
+    outcome = search_ordering(make_graph_spec([(4, 3)]), SearchConfig(node_budget=20_000))
+    assert outcome.nodes_explored == 20_001
+    assert len(computed) == len(set(computed)) <= 64
 
 
 def test_randomized_search_reproducible():
