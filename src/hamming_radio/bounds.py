@@ -6,7 +6,9 @@ factor of size n shows that once the factor's cumulative column count reaches
 1 + n(n^2 - 1)/6, no consecutive radio labeling can exist.  At exactly
 n(n^2 - 1)/6 columns the ordering is forced into a rigid shared-coordinate
 pattern, and short exhaustive searches over canonical row segments can finish
-the argument for specific graphs.
+the argument for specific graphs.  That search carries each column's top value
+and tie flag down the rows, so no level's setup grows with column size or with
+the number of rows placed.
 """
 
 from __future__ import annotations
@@ -14,17 +16,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import eq
 
 from .errors import NotAtBoundaryError, ShapeError, SpecError, TooLargeError
-from .graphs import GraphSpec, Vertex
+from .graphs import GraphSpec, Vertex, require_spec
 from .search import SearchStatus, _depth_first
-from .verify import Ordering, _window_shares
+from .verify import Ordering, _window_shares, require_ordering
 
 SEGMENT_NODE_CAP = 5_000_000  # most nodes segment_extension_search explores
 
 
 def distinct_column_count(ordering: Ordering, row: int, depth: int) -> int:
     """Number of columns whose entries in rows row..row+depth are pairwise distinct."""
+    require_ordering(ordering)
     rows = ordering.rows
     for name, value in (("row", row), ("depth", depth)):
         if type(value) is not int:  # not bool, not 1.5
@@ -32,16 +36,8 @@ def distinct_column_count(ordering: Ordering, row: int, depth: int) -> int:
     if depth < 0:
         raise ShapeError(f"window depth must be >= 0, got {depth}")
     if row < 1 or row + depth > len(rows):
-        raise ShapeError(
-            f"window rows {row}..{row + depth} outside 1..{len(rows)}"
-        )
-    window = rows[row - 1 : row + depth]
-    count = 0
-    for col in range(len(window[0])):
-        values = [r[col] for r in window]
-        if len(set(values)) == len(values):
-            count += 1
-    return count
+        raise ShapeError(f"window rows {row}..{row + depth} outside 1..{len(rows)}")
+    return sum(len(set(values)) == len(values) for values in zip(*rows[row - 1 : row + depth]))
 
 
 def factor_threshold(size: int) -> int:
@@ -84,6 +80,7 @@ def bound_verdict(spec: GraphSpec) -> BoundVerdict:
     strength of published constructions; everything else not ruled out stays
     unknown.
     """
+    require_spec(spec)
     entries = tuple(
         FactorBound(size=f.size, cumulative_width=width, threshold=factor_threshold(f.size))
         for f, width in zip(spec.factors, spec.cumulative_widths)
@@ -126,6 +123,7 @@ def boundary_structure_check(ordering: Ordering) -> list[BoundaryViolation]:
     The pairs come from verify's window kernel, to the depth of the largest
     such n; violations are sorted by their earlier row, then gap.
     """
+    require_ordering(ordering)
     spec = ordering.spec
     boundary_sizes = [
         f.size
@@ -160,73 +158,72 @@ class SegmentSearchResult:
     nodes_explored: int
 
 
-def _share_need(allowed, recent) -> list[int]:
+def _share_need(sizes, tops, recent) -> list[int]:
     """need[col]: the fewest shares with `recent` that columns col.. spend,
-    whatever values from allowed[col..] they take; the last entry is 0.
+    whatever values from 1..tops[col] they take; the last entry is 0.
 
-    A column's fewest is the minimum, over its allowed values, of how many
-    recent rows hold that value in it.  Columns are independent, so need is a
-    suffix sum.  A column with more allowed values than there are recent rows
-    has a value no recent row holds (each row holds one), so it adds 0
-    without a count.
+    A column's fewest is the minimum, over its values, of how many recent
+    rows hold that value in it; need is its suffix sum.  A column whose top
+    is below its size, or above len(recent), offers a value no recent row
+    holds (its top, or one left over as each row holds one), so it adds 0.
     """
     need = [0]
-    for col in range(len(allowed) - 1, -1, -1):
+    for col in range(len(tops) - 1, -1, -1):
         fewest = 0
-        if len(allowed[col]) <= len(recent):
+        if tops[col] == sizes[col] <= len(recent):
             held = [prev[col] for prev in recent]
-            fewest = min(map(held.count, allowed[col]))
+            fewest = min(map(held.count, range(1, sizes[col] + 1)))
         need.append(need[-1] + fewest)
     return need[::-1]
 
 
-def _candidate_rows(sizes, prev_rows):
-    """Yield canonical next rows that keep the window rule with prev_rows.
+def _empty_state(sizes):
+    """The column state of no rows: tops 1, tied where the left neighbour has the same size."""
+    return (1,) * len(sizes), (False, *map(eq, sizes[1:], sizes))
 
-    The row g back may share at most g - 1 coordinates with the new row for
-    g < t, the column count; rows t or more back constrain nothing.
-    Canonical form: a column may repeat any value already used in it, or
-    introduce the smallest unused value.  A column tied to its left neighbour
-    (same size, equal values in every previous row) never takes a value below
-    the neighbour's.  Column-by-column DFS, pruning as soon as a row shares
-    too much, before the row is whole, so verify's window kernel cannot serve.
+
+def _carry(sizes, state, row):
+    """The column state once canonical `row` follows the rows `state` describes, in O(t).
+
+    A column's top, its largest value so far plus 1 capped at its size, rises
+    only when the row takes it.  A column stays tied while each row puts the
+    same value in it and in its left neighbour.
+    """
+    tops, tied = state
+    return (
+        tuple(top + (v == top < size) for top, v, size in zip(tops, row, sizes)),
+        (False, *(tie and v == w for tie, v, w in zip(tied[1:], row[1:], row))),
+    )
+
+
+def _candidate_rows(sizes, tops, tied, recent):
+    """Yield canonical next rows that keep the window rule with `recent`,
+    the last t - 1 rows placed (all of them while fewer are placed).
+
+    The row g back may share at most g - 1 coordinates with the new row (t
+    columns).  Column col takes a value in 1..tops[col], a tied column none
+    below its left neighbour's (_carry).  A column-by-column DFS prunes a row
+    that shares too much before it is whole, so verify's kernel cannot serve.
 
     The DFS also prunes on the total share budget, sum(left).  Each recent
     row that holds a column's value spends one share, no share may go below
-    zero, and columns c.. spend at least need[c] shares whatever allowed
-    values they take (_share_need).  So once columns ..c-1 are placed, a
-    partial row whose remaining budget is below need[c] has no completion,
-    and its subtree is cut.  The tie floor only removes values from a column,
-    which cannot lower that column's minimum, so need stays a lower bound.
-    Only subtrees that would yield nothing are cut: the rows and their order
-    are those of the plain DFS.
+    zero, and columns c.. spend at least need[c] shares whatever values they
+    take (_share_need).  So a partial row through column c-1 whose remaining
+    budget is below need[c] has no completion, and its subtree is cut.  The
+    tie floor only removes values, which cannot lower a column's minimum, so
+    need stays a lower bound.  The rows and their order are the plain DFS's.
     """
     t = len(sizes)
-    allowed: list[list[int]] = []
-    for col in range(t):
-        used = sorted({row[col] for row in prev_rows})
-        unused = [v for v in range(1, sizes[col] + 1) if v not in used]
-        allowed.append(used + unused[:1])
-    tied = [
-        col > 0
-        and sizes[col] == sizes[col - 1]
-        and all(row[col] == row[col - 1] for row in prev_rows)
-        for col in range(t)
-    ]
-
-    recent = prev_rows[max(0, len(prev_rows) - (t - 1)) :]
     # shares the new row may still take with each recent row, oldest first
     left = list(range(len(recent) - 1, -1, -1))
-    need = _share_need(allowed, recent)
+    need = _share_need(sizes, tops, recent)
     row: list[int] = []
 
     def extend(col: int, budget: int):
         if col == t:
             yield tuple(row)
             return
-        for value in allowed[col]:
-            if tied[col] and value < row[col - 1]:
-                continue
+        for value in range(row[col - 1] if tied[col] else 1, tops[col] + 1):
             bumped = []
             ok = True
             for p, prev in enumerate(recent):
@@ -268,32 +265,35 @@ def segment_extension_search(spec: GraphSpec, depth: int) -> SegmentSearchResult
     lengths the unreduced one does: an empty search is a genuine impossibility
     proof, and dead_depth is the same as without the reduction.
 
-    Rows are built column by column under a share-budget bound
-    (_candidate_rows): a partial row is cut once the shares it may still take
-    with the recent rows fall below the fewest its unfilled columns must
-    spend.  Only partial rows with no completion are cut, so nodes_explored
-    and dead_depth are those of the unbounded column DFS.
+    Each level carries each column's top value and tie flag, derived from its
+    parent's and its row in O(t) (_carry), so its setup depends neither on
+    column size nor on the rows placed.  Its rows are built column by column
+    under a share-budget bound (_candidate_rows) that cuts only partial rows
+    with no completion: nodes_explored and dead_depth are the unbounded DFS's.
     """
+    require_spec(spec)
     if type(depth) is not int:  # not bool, not 2.5, not '4'
         raise SpecError(f"segment depth must be an integer, got {depth!r}")
     if depth < 2:
         raise SpecError(f"segment depth must be at least 2, got {depth}")
     sizes = spec.column_sizes()
-    rows: list[Vertex] = [spec.constant_vertex(1), spec.constant_vertex(2)]
+    keep = len(sizes) - 1  # rows further back constrain nothing
+    rows: list[Vertex] = []
+    states = [_empty_state(sizes)]  # states[i]: the column state of rows[:i]
 
-    def step(row):
+    def place(row):
         rows.append(row)
-        return _candidate_rows(sizes, rows)
+        states.append(_carry(sizes, states[-1], row))
+        return _candidate_rows(sizes, *states[-1], rows[max(0, len(rows) - keep) :])
 
-    status, nodes, deepest, _ = _depth_first(
-        rows, depth + 1, _candidate_rows(sizes, rows), step, rows.pop, SEGMENT_NODE_CAP, math.inf
-    )
+    def pop():
+        rows.pop()
+        states.pop()
+
+    place(spec.constant_vertex(1))
+    first = place(spec.constant_vertex(2))
+    status, nodes, deepest, _ = _depth_first(rows, depth + 1, first, place, pop, SEGMENT_NODE_CAP, math.inf)
     if status is SearchStatus.BUDGET_EXCEEDED:
         raise TooLargeError(f"segment search exceeded {SEGMENT_NODE_CAP} nodes for {spec}")
-    if status is SearchStatus.FOUND:
-        return SegmentSearchResult(
-            extensible=True, witness=tuple(rows), dead_depth=None, nodes_explored=nodes
-        )
-    return SegmentSearchResult(
-        extensible=False, witness=None, dead_depth=deepest, nodes_explored=nodes
-    )
+    found = status is SearchStatus.FOUND
+    return SegmentSearchResult(found, tuple(rows) if found else None, None if found else deepest, nodes)

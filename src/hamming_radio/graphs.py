@@ -144,6 +144,11 @@ class GraphSpec:
         return self.validate_vertex((value,) * self.diameter)
 
 
+def require_spec(spec: object) -> None:
+    if not isinstance(spec, GraphSpec):
+        raise SpecError(f"spec {spec!r} is not a GraphSpec")
+
+
 def make_graph_spec(factors: Iterable[tuple[int, int]]) -> GraphSpec:
     return GraphSpec(tuple(factors))
 

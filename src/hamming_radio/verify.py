@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import eq
 
 from .errors import RepetitionError, ShapeError
-from .graphs import GraphSpec, Vertex, shared_coordinates
+from .graphs import GraphSpec, Vertex, require_spec, shared_coordinates
 from .perms import Permutation, require_permutation
 
 
@@ -32,10 +32,16 @@ class Ordering:
     rows: tuple[Vertex, ...]
 
     def __post_init__(self) -> None:
+        require_spec(self.spec)
         n = len(self.rows)
         if not self.spec.has_vertex_count(n):
             raise ShapeError(f"ordering has {n} rows, spec needs {self.spec.num_vertices_text}")
         object.__setattr__(self, "rows", tuple(self.spec.validate_vertex(r) for r in self.rows))
+
+
+def require_ordering(ordering: object) -> None:
+    if not isinstance(ordering, Ordering):
+        raise ShapeError(f"ordering {ordering!r} is not an Ordering")
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,7 @@ class Labeling:
     assignment: dict[Vertex, int]
 
     def __post_init__(self) -> None:
+        require_spec(self.spec)
         if not isinstance(self.assignment, Mapping):
             raise ShapeError(f"assignment {self.assignment!r} is not a mapping of vertices to labels")
         clean = {}

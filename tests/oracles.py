@@ -231,8 +231,30 @@ def oracle_segment_search(sizes, depth):
     return False, None, deepest, nodes
 
 
+def oracle_column_state(sizes, prev_rows):
+    """The column state bounds._carry keeps, from its definition over prev_rows.
+
+    tops[col] is the largest value in column col plus 1, capped at the
+    column's size (1 for no rows).  tied[col] holds when column col has the
+    size of column col - 1 and equal values in every row (vacuously for no
+    rows); column 0 is never tied.
+    """
+    tops = tuple(
+        min(max((row[col] for row in prev_rows), default=0) + 1, size)
+        for col, size in enumerate(sizes)
+    )
+    tied = tuple(
+        col > 0
+        and sizes[col] == sizes[col - 1]
+        and all(row[col] == row[col - 1] for row in prev_rows)
+        for col in range(len(sizes))
+    )
+    return tops, tied
+
+
 def oracle_candidate_rows(sizes, prev_rows):
-    """bounds._candidate_rows before it pruned on the share budget.
+    """bounds._candidate_rows from scratch over prev_rows, without the
+    share-budget prune.
 
     Yields canonical next rows that keep the window rule with prev_rows.
 

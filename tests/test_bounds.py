@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -21,6 +22,7 @@ from hamming_radio.verify import Ordering
 from .oracles import (
     oracle_boundary_violations,
     oracle_candidate_rows,
+    oracle_column_state,
     oracle_distinct_columns,
     oracle_segment_search,
     oracle_shared,
@@ -220,6 +222,57 @@ def test_segment_search_node_cap(monkeypatch):
         segment_extension_search(make_graph_spec([(3, 5)]), depth=3)
 
 
+def test_segment_search_cost_does_not_grow_with_column_size():
+    # 3 nodes on columns of a million values each: a level's setup used to
+    # list every unused value of every column (0.94 s, tens of MiB)
+    spec = make_graph_spec([(10**6, 3)])
+    tracemalloc.start()
+    try:
+        result = segment_extension_search(spec, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.extensible
+    assert result.nodes_explored == 3
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        pytest.param(
+            lambda: bound_verdict("3^4"),
+            SpecError,
+            "spec '3^4' is not a GraphSpec",
+            id="verdict-of-a-string",
+        ),
+        pytest.param(
+            lambda: segment_extension_search(None, 4),
+            SpecError,
+            "spec None is not a GraphSpec",
+            id="segments-of-none",
+        ),
+        pytest.param(
+            lambda: boundary_structure_check("x"),
+            ShapeError,
+            "ordering 'x' is not an Ordering",
+            id="boundary-of-a-string",
+        ),
+        pytest.param(
+            lambda: distinct_column_count("x", 1, 1),
+            ShapeError,
+            "ordering 'x' is not an Ordering",
+            id="columns-of-a-string",
+        ),
+    ],
+)
+def test_foreign_arguments_raise_the_layer_errors(call, error, message):
+    """Arguments of the wrong type get the layer's own error, not an AttributeError."""
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_segment_search_extensible_proves_nothing():
     # K_2^2 admits arbitrarily long locally valid runs (they revisit vertices),
     # so only the dead outcome carries an impossibility proof
@@ -240,7 +293,17 @@ def test_segment_search_extensible_proves_nothing():
 )
 def test_candidate_rows_tie_rule(sizes, prev_rows, expected):
     # two columns: only the last row constrains, and it may share nothing
-    assert list(_candidate_rows(sizes, prev_rows)) == expected
+    assert _rows_after(sizes, prev_rows) == expected
+
+
+def _recent(sizes, prefix):
+    """The rows the window rule reads for the row after prefix: the last t - 1."""
+    return prefix[max(0, len(prefix) - (len(sizes) - 1)) :]
+
+
+def _rows_after(sizes, prefix):
+    """_candidate_rows after prefix, given the column state from its definition."""
+    return list(_candidate_rows(sizes, *oracle_column_state(sizes, prefix), _recent(sizes, prefix)))
 
 
 def _canonical_prefixes(spec, max_rows, cap):
@@ -284,7 +347,22 @@ def test_candidate_rows_match_unpruned_oracle(factors, count):
     prefixes = _canonical_prefixes(spec, 6, 1_500)
     assert len(prefixes) == count
     for prefix in prefixes:
-        assert list(_candidate_rows(sizes, prefix)) == list(oracle_candidate_rows(sizes, prefix)), prefix
+        assert _rows_after(sizes, prefix) == list(oracle_candidate_rows(sizes, prefix)), prefix
+
+
+@pytest.mark.parametrize("factors,count", BUDGET_PRUNE_CASES)
+def test_carried_state_matches_definition(factors, count):
+    # the state the search carries row by row equals the one recomputed from
+    # scratch, at every prefix of its tree and at the empty and one-row prefixes
+    spec = make_graph_spec(factors)
+    sizes = spec.column_sizes()
+    prefixes = _canonical_prefixes(spec, 6, 1_500)
+    assert len(prefixes) == count
+    for prefix in [[], prefixes[0][:1], *prefixes]:
+        state = bounds._empty_state(sizes)
+        for row in prefix:
+            state = bounds._carry(sizes, state, row)
+        assert state == oracle_column_state(sizes, prefix), prefix
 
 
 def test_share_need_is_the_brute_force_minimum():
@@ -301,11 +379,12 @@ def test_share_need_is_the_brute_force_minimum():
                 used = sorted({row[col] for row in prefix})
                 allowed.append(used + [v for v in range(1, size + 1) if v not in used][:1])
             recent = prefix[-(t - 1) :]
+            tops, _ = oracle_column_state(sizes, prefix)
 
             def spent(values, start):
                 return sum(prev[col] == v for prev in recent for col, v in enumerate(values, start))
 
-            need = _share_need(allowed, recent)
+            need = _share_need(sizes, tops, recent)
             assert len(need) == t + 1 and need[t] == 0
             for col in range(t):
                 assert need[col] == min(spent(c, col) for c in itertools.product(*allowed[col:]))

@@ -1,7 +1,7 @@
 import pytest
 
 from hamming_radio.documents import parse_spec_string
-from hamming_radio.errors import RepetitionError, ShapeError
+from hamming_radio.errors import RepetitionError, ShapeError, SpecError
 from hamming_radio.graphs import GraphSpec, enumerate_vertices, make_graph_spec, shared_coordinates
 from hamming_radio.perms import Permutation, identity
 from hamming_radio.verify import (
@@ -155,6 +155,14 @@ def test_labeling_validation_and_consecutive(k32_spec):
     partial = Labeling(k32_spec, {(1, 1): 1, (2, 2): 3})
     assert not partial.is_total
     assert not is_consecutive(partial)
+
+
+@pytest.mark.parametrize("make", [Ordering, Labeling], ids=["ordering", "labeling"])
+def test_spec_must_be_a_graph_spec(make):
+    # a spec string used to be stored as given: AttributeError on first use
+    with pytest.raises(SpecError) as err:
+        make("3^2", {} if make is Labeling else ())
+    assert str(err.value) == "spec '3^2' is not a GraphSpec"
 
 
 def test_huge_labeling_is_sized_without_vertex_count(monkeypatch):
