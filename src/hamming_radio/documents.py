@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DocumentError, RadioGraphError
@@ -18,21 +19,30 @@ from .perms import Permutation, identity
 from .verify import Ordering
 
 # Numbers are ASCII digits only: \d and int() would also take "+1", "1_0" and
-# other scripts' digits such as full-width "３".
-_FACTOR_RE = re.compile(r"([0-9]+)(?:\^([0-9]+))?")
+# other scripts' digits such as full-width "３".  Whitespace may stand only
+# around "^" and the "x" separators, so "3 4" is not read as 34.
+_FACTOR_RE = re.compile(r"([0-9]+)(?:\s*\^\s*([0-9]+))?")
 _ROW_RE = re.compile(r"[0-9]+(?:\s+[0-9]+)*", re.ASCII)
 
 
+def _too_long(where: str) -> DocumentError:
+    """The error for a number int() refuses: more digits than the interpreter converts."""
+    return DocumentError(f"{where}: a number has more than {sys.get_int_max_str_digits()} digits")
+
+
 def parse_spec_string(text: str) -> GraphSpec:
-    """Parse '3^4x4^7' (whitespace and case of the x separator are ignored)."""
-    parts = re.split(r"[xX]", text.strip())
+    """Parse '3^4x4^7' (whitespace around '^' and 'x' and the case of the x
+    separator are ignored)."""
     factors = []
-    for part in parts:
-        part = part.strip().replace(" ", "")
+    for part in re.split(r"[xX]", text):
+        part = part.strip()
         m = _FACTOR_RE.fullmatch(part)
         if not m:
             raise DocumentError(f"cannot parse factor {part!r} in spec {text!r}")
-        factors.append((int(m.group(1)), int(m.group(2) or 1)))
+        try:
+            factors.append((int(m.group(1)), int(m.group(2) or 1)))
+        except ValueError:
+            raise _too_long("spec") from None
     try:
         return make_graph_spec(factors)
     except RadioGraphError as exc:
@@ -66,7 +76,10 @@ def parse_ordering_text(text: str) -> OrderingDocument:
     for lineno, line in enumerate(lines[1:], start=2):
         if not _ROW_RE.fullmatch(line):
             raise DocumentError(f"line {lineno}: expected integers, got {line!r}")
-        rows.append(tuple(map(int, line.split())))
+        try:
+            rows.append(tuple(map(int, line.split())))
+        except ValueError:
+            raise _too_long(f"line {lineno}") from None
     return OrderingDocument(spec, tuple(rows))
 
 
@@ -87,6 +100,10 @@ def parse_ordering_json(text: str) -> OrderingDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"bad JSON: {exc}") from exc
+    except ValueError:  # an integer of more digits than int() converts
+        raise _too_long("bad JSON") from None
+    except RecursionError:
+        raise DocumentError("bad JSON: nested too deeply") from None
     if not isinstance(obj, dict) or "spec" not in obj or "rows" not in obj:
         raise DocumentError("JSON document needs 'spec' and 'rows' keys")
     raw_spec = obj["spec"]
@@ -164,7 +181,10 @@ def parse_instruction_rows(text: str, spec: GraphSpec, kind: GeneratorKind | str
                 m = _TOKEN_RE.fullmatch(tok)
                 if not m:
                     raise DocumentError(f"row {i}: bad instruction token {tok!r}")
-                subscript = int(m.group(1))
+                try:
+                    subscript = int(m.group(1))
+                except ValueError:
+                    raise _too_long(f"row {i}, column {j + 1}") from None
                 if not 2 <= subscript <= gen.n:
                     raise DocumentError(
                         f"row {i}, column {j + 1}: subscript {subscript} outside 2..{gen.n}"

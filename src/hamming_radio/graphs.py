@@ -169,5 +169,6 @@ def shared_coordinates(u: Vertex, v: Vertex) -> int:
 
 def enumerate_vertices(spec: GraphSpec) -> Iterator[Vertex]:
     """All vertices in lexicographic coordinate order, lazily."""
+    require_spec(spec)
     ranges = [range(1, size + 1) for size in spec.column_sizes()]
     return itertools.product(*ranges)

@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
     UnsupportedSizeError,
 )
-from .graphs import GraphSpec, make_graph_spec
+from .graphs import GraphSpec, make_graph_spec, require_spec
 from .perms import Permutation, identity, require_permutation
 from .verify import Ordering, RadioViolation, repetition_violations
 
@@ -301,6 +301,7 @@ class OrderGenerator:
     ordering: Ordering = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        require_spec(self.spec)
         cells = tuple(tuple(row) for row in self.cells)
         object.__setattr__(self, "cells", cells)
         gens = tuple(self.generators)
@@ -332,6 +333,7 @@ def make_order_generator(
     cells: Iterable[Iterable[Permutation]],
     generators: InstructionGenerator | Iterable[InstructionGenerator],
 ) -> OrderGenerator:
+    require_spec(spec)
     if isinstance(generators, InstructionGenerator):
         generators = (generators,) * spec.diameter
     return OrderGenerator(spec, cells, generators)

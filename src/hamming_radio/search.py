@@ -33,7 +33,7 @@ from operator import itemgetter
 from typing import Any
 
 from .errors import InvalidWitnessError, SpecError, TooLargeError
-from .graphs import GraphSpec, Vertex, enumerate_vertices, make_graph_spec
+from .graphs import GraphSpec, Vertex, enumerate_vertices, make_graph_spec, require_spec
 from .verify import Ordering, check_ordering, is_valid_ordering
 
 BRUTE_FORCE_CAP = 9  # most vertices brute_force_radio_graceful permutes
@@ -60,6 +60,12 @@ class SearchConfig:
             raise SpecError(f"time_budget must be positive and finite, got {self.time_budget}")
         if self.seed is not None and type(self.seed) is not int:
             raise SpecError(f"seed must be None or an integer, got {self.seed!r}")
+
+
+def _config(config: SearchConfig | None) -> SearchConfig:
+    if config is not None and not isinstance(config, SearchConfig):
+        raise SpecError(f"config {config!r} is not a SearchConfig")
+    return config or SearchConfig()
 
 
 class SearchStatus(Enum):
@@ -212,7 +218,8 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
     computed.  That refuses every N > 10^6 too: sizes summing to 33 or less
     give N <= 3^11, and 34 x 10^6 > 2^25.
     """
-    config = config or SearchConfig()
+    require_spec(spec)
+    config = _config(config)
     if spec.has_more_vertices_than(MASK_BIT_CAP // sum(f.size * f.copies for f in spec.factors)):
         raise TooLargeError(f"the column masks of {spec} exceed the cap of {MASK_BIT_CAP} bits")
     n_total = spec.num_vertices
@@ -294,6 +301,7 @@ class BruteForceResult:
 def brute_force_radio_graceful(spec: GraphSpec) -> BruteForceResult:
     """Ground-truth oracle: try every ordering with the first two rows pinned,
     checking each with the verifier."""
+    require_spec(spec)
     if spec.has_more_vertices_than(BRUTE_FORCE_CAP):
         raise TooLargeError(
             f"{spec.num_vertices_text} vertices exceed the brute-force cap {BRUTE_FORCE_CAP}"
@@ -311,46 +319,35 @@ def brute_force_radio_graceful(spec: GraphSpec) -> BruteForceResult:
 _K34 = make_graph_spec([(3, 4)])
 
 
-def _k34_successors() -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """succ[v][d][c]: the index of v + (d with bit c flipped) in K_3^4.
-
-    Indices are GraphSpec.vertex_index values, the positions in
-    enumerate_vertices: base-3 numerals whose digits are the coordinates
-    minus 1, column 0 most significant.  Bit j of a step d set means -1 in
-    coordinate j, clear means +1 (mod 3), so digit j moves to
-    (digit + 1 + bit j) mod 3.  Only _k34_moves' build reads it.
-    """
-    weights = (27, 9, 3, 1)
-    succ = []
-    for v in range(81):  # the vertices of K_3^4
-        # column j's share of the index reached, with bit j of the step clear and set
-        shares = [((v // w + 1) % 3 * w, (v // w + 2) % 3 * w) for w in weights]
-        reached = list(map(sum, itertools.product(*reversed(shares))))  # by step, bit 0 fastest
-        succ.append(tuple(tuple(reached[d ^ (1 << c)] for c in range(4)) for d in range(16)))
-    return tuple(succ)
-
-
 @functools.cache
 def _k34_moves() -> list[list[tuple[int, int, int, int, list]]]:
     """moves[16 * v + d]: the four moves from tail row v after step d.
 
-    One entry per column c, in column order: (c, bit_w, w, onward, next),
-    with w = succ[v][d][c], the row reached by negating coordinate c, and
-    bit_w = 1 << w.  onward is the bitset of the three rows
-    succ[w][d'][c2] for c2 != c, where d' = d ^ (1 << c) is the step just
-    taken: the rows one move on from w.  next is moves[16 * w + d'] itself,
-    so a walk follows its moves without indexing.  The bit_w ints come from
-    one shared list.  About 0.7 MiB, built once per process on the first
-    reduced search and shared by every later one, so callers must not mutate it.
+    Rows are positions in enumerate_vertices(_K34), so graphs alone fixes
+    their order.  reach[v][d] is the row v + d, where bit j of d set means
+    -1 in coordinate j and clear means +1 (mod 3).  An entry holds one move
+    per column c, in column order: (c, bit_w, w, onward, next), with
+    w = reach[v][d'] for d' = d ^ (1 << c), the step negating coordinate c,
+    and bit_w = 1 << w from one shared list.  onward is the bitset of the
+    three rows one move on from w, reach[w][d' ^ (1 << c2)] for c2 != c, and
+    next is moves[16 * w + d'] itself, so a walk follows its moves without
+    indexing.  About 0.7 MiB, built once per process on the first reduced
+    search and shared by every later one, so callers must not mutate it.
     """
-    succ = _k34_successors()
-    bits = [1 << w for w in range(len(succ))]
-    moves: list[list] = [[] for _ in range(16 * len(succ))]
-    for v, by_step in enumerate(succ):
-        for d, entry in enumerate(by_step):
-            for c, w in enumerate(entry):
+    vertices = list(enumerate_vertices(_K34))
+    index = {v: i for i, v in enumerate(vertices)}
+    reach = [
+        [index[tuple((a + (d >> j & 1)) % 3 + 1 for j, a in enumerate(v))] for d in range(16)]
+        for v in vertices
+    ]
+    bits = [1 << w for w in range(len(vertices))]
+    moves: list[list] = [[] for _ in range(16 * len(vertices))]
+    for v, by_step in enumerate(reach):
+        for d in range(16):
+            for c in range(4):
                 d2 = d ^ (1 << c)
-                onward = sum(bits[u] for c2, u in enumerate(succ[w][d2]) if c2 != c)
+                w = by_step[d2]
+                onward = sum(bits[reach[w][d2 ^ (1 << c2)]] for c2 in range(4) if c2 != c)
                 moves[16 * v + d].append((c, bits[w], w, onward, moves[16 * w + d2]))
     return moves
 
@@ -389,7 +386,7 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
     cut off by the node budget reproduce outcome and node count exactly; a
     wall-clock cutoff lands wherever the clock does.
     """
-    config = config or SearchConfig()
+    config = _config(config)
     table = _k34_moves()
     n_total = len(table) // 16  # 16 steps per row
     rng = None if config.seed is None else random.Random(config.seed)

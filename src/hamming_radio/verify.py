@@ -68,6 +68,11 @@ class Labeling:
         return self.spec.has_vertex_count(len(self.assignment))
 
 
+def require_labeling(labeling: object) -> None:
+    if not isinstance(labeling, Labeling):
+        raise ShapeError(f"labeling {labeling!r} is not a Labeling")
+
+
 @dataclass(frozen=True, order=True)
 class RadioViolation:
     """Rows `row` and `row - gap` agree on `shared` coordinates; the radio
@@ -118,6 +123,7 @@ def check_ordering(ordering: Ordering) -> list:
     Empty result means the ordering induces a consecutive radio labeling
     (row number = label).
     """
+    require_ordering(ordering)
     return [
         RadioViolation(row=i, gap=k, shared=shared)
         for i, shares in _window_shares(ordering.rows, ordering.spec.diameter - 1)
@@ -141,6 +147,7 @@ def induced_labeling(ordering: Ordering) -> Labeling:
     k >= t that bound is at most label_{i-k} + t <= label_{i-1} + 1: the
     window to depth t - 1 is exact.
     """
+    require_ordering(ordering)
     rows = ordering.rows
     if len(set(rows)) != len(rows):
         dup = rows[repetition_violations(rows)[0].row_a - 1]
@@ -156,6 +163,7 @@ def induced_labeling(ordering: Ordering) -> Labeling:
 
 def position_labeling(ordering: Ordering) -> Labeling:
     """Label each row by its row number.  Needs pairwise-distinct rows."""
+    require_ordering(ordering)
     rows = ordering.rows
     if len(set(rows)) != len(rows):
         raise RepetitionError("ordering repeats a vertex; row numbers do not form a labeling")
@@ -164,6 +172,7 @@ def position_labeling(ordering: Ordering) -> Labeling:
 
 def is_consecutive(labeling: Labeling) -> bool:
     """True iff the labels are exactly 1..N with every vertex labeled."""
+    require_labeling(labeling)
     n = len(labeling.assignment)
     return labeling.is_total and sorted(labeling.assignment.values()) == list(range(1, n + 1))
 
@@ -181,6 +190,7 @@ def verify_radio(labeling: Labeling) -> list[RadioViolation]:
     against the larger label: gap = label difference, shared = shared
     coordinate count.
     """
+    require_labeling(labeling)
     items = sorted(labeling.assignment.items(), key=lambda kv: kv[1])
     t = labeling.spec.diameter
     out: list[RadioViolation] = []
@@ -201,6 +211,7 @@ def permute_column(ordering: Ordering, col: int, sigma: Permutation) -> Ordering
     This preserves every shared-coordinate count, so it maps valid orderings
     to valid orderings.
     """
+    require_ordering(ordering)
     size = ordering.spec.column_size(col)
     require_permutation(sigma)
     if sigma.n != size:

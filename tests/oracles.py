@@ -13,7 +13,6 @@ from hamming_radio.errors import MembershipError, ShapeError
 from hamming_radio.graphs import shared_coordinates
 from hamming_radio.instructions import GeneratorKind, builtin_generator
 from hamming_radio.perms import Permutation, act, identity
-from hamming_radio.search import _k34_successors
 from hamming_radio.verify import RadioViolation
 
 
@@ -332,6 +331,23 @@ def oracle_k34_transitions():
     return out
 
 
+def oracle_k34_successors():
+    """succ[v][d][c]: the row after v when the step into v was d and the next
+    step negates coordinate c, read off oracle_k34_transitions.
+
+    Rows are indices in lexicographic vertex order.  Bit j of a step d is set
+    where it is -1 (mod 3) in coordinate j; each v has one predecessor u per
+    step, so the 1,296 pairs (u, v) fill every (v, d).
+    """
+    vertices = list(itertools.product((1, 2, 3), repeat=4))
+    index = {v: i for i, v in enumerate(vertices)}
+    succ = [[None] * 16 for _ in vertices]
+    for (u, v), following in oracle_k34_transitions().items():
+        step = sum(1 << j for j, (a, b) in enumerate(zip(u, v)) if (b - a) % 3 == 2)
+        succ[index[v]][step] = tuple(index[w] for w in following)
+    return succ
+
+
 def oracle_depth_first(rows, target, first, step, pop, node_budget):
     """The contract of search._depth_first, written as a plain recursion.
 
@@ -377,11 +393,11 @@ def oracle_k34_walk(node_budget, seed=None):
     a used row, and, below the last row, skips a child none of whose three
     onward rows is unused.  random.Random(seed) shuffles each level's list
     when a seed is given.  Runs on oracle_depth_first (the walk is at most
-    81 levels deep) and the package's successor table, which has its own
-    test.  Returns (status, nodes, deepest, rows), with rows the path left
+    81 levels deep) and oracle_k34_successors, so it reads no package table.
+    Returns (status, nodes, deepest, rows), with rows the path left
     when the search stopped.
     """
-    succ = _k34_successors()
+    succ = oracle_k34_successors()
     n_total = 81
     rng = random.Random(seed)
 

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they pass.
-Criterion 8 documents a known negative result: the reduced instruction-side
-search is correct and deterministic, but the 60 second default budget is far
+Criterion 8 documents a known negative result: the reduced step-vector walk
+is correct and deterministic, but the 60 second default budget is far
 too small for the size of its search space, so that test fails honestly with
 the measured numbers rather than being weakened to pass.
 """

@@ -331,6 +331,61 @@ def test_generate_huge_spec_is_an_input_error(runner, tmp_path, no_huge_vertex_c
         _assert_clean_input_error(invoke(runner, "generate", spec, str(matrix)), spec)
 
 
+# int() refuses a decimal string of more than 4,300 digits with a bare
+# ValueError, so each of these inputs died with a traceback and exit 1
+LONG = "9" * 5_000
+
+
+@pytest.mark.parametrize(
+    "args,name,text",
+    [
+        (["bound", LONG], None, None),
+        (["bound", f"3^{LONG}"], None, None),
+        (["search", LONG], None, None),
+        (["search", f"3^{LONG}"], None, None),
+        (["generate", LONG, "{}"], "matrix.txt", "id\n"),
+        (["generate", "3", "{}"], "matrix.txt", f"id\nf2\nf{LONG}\n"),
+        (["verify", "{}"], "row.txt", f"spec: 3\n1\n2\n{LONG}\n"),
+        (["verify", "{}"], "header.txt", f"spec: {LONG}\n1\n"),
+        (["verify", "{}"], "row.json", f'{{"spec": "3", "rows": [[1], [2], [{LONG}]]}}'),
+        (["verify", "{}"], "spec.json", f'{{"spec": [[{LONG}, 1]], "rows": [[1]]}}'),
+        (["verify", "{}"], "string.json", f'{{"spec": "{LONG}", "rows": [[1]]}}'),
+    ],
+    ids=[
+        "bound", "bound-power", "search", "search-power", "generate-spec", "generate-token",
+        "verify-row", "verify-header", "verify-json-row", "verify-json-spec", "verify-json-string",
+    ],
+)
+def test_overlong_number_is_an_input_error(runner, tmp_path, args, name, text):
+    if name is not None:
+        path = tmp_path / name
+        path.write_text(text)
+        args = [arg.format(path) for arg in args]
+    result = invoke(runner, *args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert re.fullmatch(r"error: .*a number has more than \d+ digits\n", result.stderr)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"spec": "3", "rows": ' + "[" * 3_000 + "]" * 3_000 + "}",
+        '{"spec": "3", "rows": [[1], [2], [3]], "metadata": {"a": '
+        + "[" * 100_000 + "]" * 100_000 + "}}",
+        '{"spec": ' + "[" * 100_000 + "]" * 100_000 + ', "rows": [[1], [2], [3]]}',
+    ],
+    ids=["rows", "metadata", "spec"],
+)
+def test_deeply_nested_json_is_an_input_error(runner, tmp_path, payload):
+    # json.loads used to raise RecursionError through the command, exit 1
+    doc = tmp_path / "deep.json"
+    doc.write_text(payload)
+    result = invoke(runner, "verify", str(doc))
+    assert result.exit_code == 2, result.output
+    assert result.stderr == "error: bad JSON: nested too deeply\n"
+
+
 def test_lambda_command(runner):
     result = invoke(runner, "lambda", "-n", "3", "-s", "2")
     assert result.exit_code == 0

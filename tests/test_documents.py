@@ -31,6 +31,7 @@ from hamming_radio.instructions import (
         ("3^4 X 4^7", [(3, 4), (4, 7)]),
         (" 9 ", [(9, 1)]),
         ("2x3x5", [(2, 1), (3, 1), (5, 1)]),
+        ("3 ^ 4 x\t4\t^7", [(3, 4), (4, 7)]),
     ],
 )
 def test_parse_spec_string(text, factors):
@@ -39,7 +40,11 @@ def test_parse_spec_string(text, factors):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "x", "3^", "^4", "4x3", "3.5", "abc", "+3", "3^+2", "1_0", "\uff13", "3^\uff12", "\u0663"],
+    [
+        "", "x", "3^", "^4", "4x3", "3.5", "abc", "+3", "3^+2", "1_0", "\uff13", "3^\uff12", "\u0663",
+        # spaces used to be dropped inside a number, so these read as 34, 3^10 and 10
+        "3 4", "3^1 0", "1 0", "3^4 x 4 7",
+    ],
 )
 def test_parse_spec_string_errors(text):
     with pytest.raises(DocumentError):

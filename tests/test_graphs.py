@@ -163,3 +163,21 @@ def test_vertex_count_is_read_only_in_graphs_and_after_the_search_cap():
             visit(ast.parse(path.read_text(encoding="utf-8")), path.name, ())
     assert [(module, scope) for module, scope, _ in reads] == [("search.py", ("search_ordering",))]
     assert all(line > caps[module, scope] for module, scope, line in reads)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        pytest.param(
+            lambda: enumerate_vertices("3^2"),
+            SpecError,
+            "spec '3^2' is not a GraphSpec",
+            id="vertices-of-a-string",
+        ),
+    ],
+)
+def test_foreign_arguments_raise_the_layer_errors(call, error, message):
+    """Arguments of the wrong type get the layer's own error, not an AttributeError."""
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -8,12 +8,14 @@ from hamming_radio.errors import (
     BudgetExceededError,
     MembershipError,
     ShapeError,
+    SpecError,
     UnsupportedSizeError,
 )
 from hamming_radio.graphs import make_graph_spec
 from hamming_radio.instructions import (
     GeneratorKind,
     InstructionGenerator,
+    OrderGenerator,
     arrangement_trace,
     build_column,
     builtin_generator,
@@ -222,6 +224,18 @@ def test_history_dependent_sets():
             MembershipError,
             "'bogus' is not a valid GeneratorKind",
             id="generator-unknown-kind",
+        ),
+        pytest.param(
+            lambda: OrderGenerator("3^2", (), ()),
+            SpecError,
+            "spec '3^2' is not a GraphSpec",
+            id="order-generator-of-a-string",
+        ),
+        pytest.param(
+            lambda: make_order_generator("3^2", [], LRU3),
+            SpecError,
+            "spec '3^2' is not a GraphSpec",
+            id="make-order-generator-of-a-string",
         ),
     ],
 )

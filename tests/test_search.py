@@ -23,7 +23,6 @@ from hamming_radio.search import (
     SearchStatus,
     _at_least,
     _k34_moves,
-    _k34_successors,
     brute_force_radio_graceful,
     search_k34_reduced,
     search_ordering,
@@ -31,8 +30,10 @@ from hamming_radio.search import (
 from hamming_radio.perms import Permutation
 from hamming_radio.verify import Ordering, check_ordering, is_valid_ordering, permute_column
 
+from . import oracles
 from .oracles import (
     oracle_depth_first,
+    oracle_k34_successors,
     oracle_k34_transitions,
     oracle_k34_walk,
     oracle_search_ordering,
@@ -46,6 +47,30 @@ def test_config_validation():
     for budget in (0, float("nan"), float("inf")):
         with pytest.raises(SpecError):
             SearchConfig(time_budget=budget)
+
+
+NOT_A_SPEC = (SpecError, "spec '3^2' is not a GraphSpec")
+NOT_A_CONFIG = (SpecError, "config 'cfg' is not a SearchConfig")
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        pytest.param(lambda: search_ordering("3^2"), *NOT_A_SPEC, id="search-a-string"),
+        pytest.param(lambda: brute_force_radio_graceful("3^2"), *NOT_A_SPEC, id="brute-a-string"),
+        pytest.param(
+            lambda: search_ordering(make_graph_spec([(3, 2)]), "cfg"),
+            *NOT_A_CONFIG,
+            id="search-with-a-string-config",
+        ),
+        pytest.param(lambda: search_k34_reduced("cfg"), *NOT_A_CONFIG, id="reduced-with-a-string"),
+    ],
+)
+def test_foreign_arguments_raise_the_layer_errors(call, error, message):
+    """Arguments of the wrong type get the layer's own error, not an AttributeError."""
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("budget", [2.5, True, "5"])
@@ -467,9 +492,10 @@ def test_brute_force_small_cases():
 
 
 def test_step_successors_match_instructions():
-    """All 5,184 transitions (u, v, column) of the step-vector table agree
-    with the shift-to-front instructions the paper builds K_3^4 from."""
-    succ = _k34_successors()
+    """All 5,184 transitions (u, v, column) of the move table, read as vertex
+    tuples in enumerate_vertices' order, agree with the shift-to-front
+    instructions the paper builds K_3^4 from."""
+    moves = _k34_moves()
     vertices = list(enumerate_vertices(make_graph_spec([(3, 4)])))
     index = {v: i for i, v in enumerate(vertices)}
     transitions = oracle_k34_transitions()
@@ -477,34 +503,25 @@ def test_step_successors_match_instructions():
     for (u, v), expected in transitions.items():
         # bit j of the step v - u is set where it is -1 (mod 3) in coordinate j
         step = sum(1 << j for j, (a, b) in enumerate(zip(u, v)) if (b - a) % 3 == 2)
-        assert tuple(vertices[w] for w in succ[index[v]][step]) == expected, (u, v)
+        assert tuple(vertices[m[2]] for m in moves[16 * index[v] + step]) == expected, (u, v)
 
 
-def test_successor_table_built_once(monkeypatch):
+def test_move_table_built_once():
     """The move table is built on the first reduced search and shared by
-    every later one; the successor table is read only by that build, so it
-    is built once with it and not kept."""
-    built = []
-
-    def counting():
-        built.append(1)
-        return _k34_successors()
-
-    monkeypatch.setattr(search, "_k34_successors", counting)
+    every later one."""
     _k34_moves.cache_clear()
     config = SearchConfig(node_budget=10)
     search_k34_reduced(config)
     search_k34_reduced(config)
     assert _k34_moves.cache_info().misses == 1
-    assert len(built) == 1
-    assert not hasattr(_k34_successors, "cache_info")
 
 
-def test_move_table_matches_successors():
-    """Every move of all 81 x 16 x 4 (v, d, c) agrees with the successor
-    table, and its last field is the very entry the walk continues from.
-    The moves share one 1 << w int per row."""
-    succ = _k34_successors()
+def test_move_table_matches_instructions():
+    """All 81 x 16 x 4 moves (v, d, c) agree with the successors that the
+    shift-to-front instructions the paper builds K_3^4 from give, and each
+    move's last field is the very entry the walk continues from.  The moves
+    share one 1 << w int per row."""
+    succ = oracle_k34_successors()
     moves = _k34_moves()
     assert len(moves) == 81 * 16
     assert len({id(m[1]) for entry in moves for m in entry}) == 81
@@ -647,6 +664,22 @@ def test_search_imports_no_instruction_layer():
                 imported.update(base + alias.name for alias in node.names)
     local = {name.split(".", 1)[1] for name in imported if name.startswith("hamming_radio.")}
     assert local == {"errors", "graphs", "verify"}
+
+
+def test_oracles_import_no_private_name():
+    """The oracles stay apart from the code they check: they take no private
+    name from the package and nothing from the searches."""
+    with open(oracles.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    taken = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hamming_radio")
+        for alias in node.names
+    ]
+    assert taken
+    assert [(module, name) for module, name in taken if name.startswith("_")] == []
+    assert [name for module, name in taken if module == "hamming_radio.search"] == []
 
 
 def test_reduced_search_budget_determinism():

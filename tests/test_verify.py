@@ -165,6 +165,31 @@ def test_spec_must_be_a_graph_spec(make):
     assert str(err.value) == "spec '3^2' is not a GraphSpec"
 
 
+NOT_AN_ORDERING = (ShapeError, "ordering 'x' is not an Ordering")
+NOT_A_LABELING = (ShapeError, "labeling 'x' is not a Labeling")
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        pytest.param(lambda: check_ordering("x"), *NOT_AN_ORDERING, id="check-a-string"),
+        pytest.param(lambda: is_valid_ordering("x"), *NOT_AN_ORDERING, id="valid-a-string"),
+        pytest.param(lambda: induced_labeling("x"), *NOT_AN_ORDERING, id="induced-of-a-string"),
+        pytest.param(lambda: position_labeling("x"), *NOT_AN_ORDERING, id="positions-of-a-string"),
+        pytest.param(
+            lambda: permute_column("x", 1, identity(3)), *NOT_AN_ORDERING, id="permute-a-string"
+        ),
+        pytest.param(lambda: verify_radio("x"), *NOT_A_LABELING, id="radio-of-a-string"),
+        pytest.param(lambda: is_consecutive("x"), *NOT_A_LABELING, id="consecutive-a-string"),
+    ],
+)
+def test_foreign_arguments_raise_the_layer_errors(call, error, message):
+    """Arguments of the wrong type get the layer's own error, not an AttributeError."""
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_huge_labeling_is_sized_without_vertex_count(monkeypatch):
     """is_total and is_consecutive decide a huge spec without computing N,
     which for 3^10000000 took seconds."""
@@ -178,7 +203,7 @@ def test_huge_labeling_is_sized_without_vertex_count(monkeypatch):
     assert not is_consecutive(empty)
 
 
-def test_check_labeling_flags_close_pair(k32_spec):
+def test_verify_radio_flags_close_pair(k32_spec):
     # same vertex pair distance 1 apart in labels but sharing a coordinate
     labeling = Labeling(k32_spec, {(1, 1): 1, (1, 2): 2})
     radio = verify_radio(labeling)
