@@ -21,7 +21,7 @@ from operator import eq
 from .errors import NotAtBoundaryError, ShapeError, SpecError, TooLargeError
 from .graphs import GraphSpec, Vertex, require_spec
 from .search import SearchStatus, _depth_first
-from .verify import Ordering, _window_shares, require_ordering
+from .verify import Ordering, _window_masks, require_ordering
 
 SEGMENT_NODE_CAP = 5_000_000  # most nodes segment_extension_search explores
 
@@ -120,8 +120,11 @@ def boundary_structure_check(ordering: Ordering) -> list[BoundaryViolation]:
     Applies when some factor of size n has cumulative width exactly
     n(n^2 - 1)/6; then every pair of rows at gap j <= n must share exactly
     j - 1 coordinates.  Raises NotAtBoundaryError when no factor qualifies.
-    The pairs come from verify's window kernel, to the depth of the largest
-    such n; violations are sorted by their earlier row, then gap.
+    verify's window kernel gives, for each gap g up to the largest such n,
+    the rows sharing g or more coordinates with the row g back and those
+    sharing g - 1 or more; the rows in the first mask or outside the second
+    are the violations, and only their shared coordinates are counted.
+    Violations are sorted by their earlier row, then gap.
     """
     require_ordering(ordering)
     spec = ordering.spec
@@ -134,11 +137,11 @@ def boundary_structure_check(ordering: Ordering) -> list[BoundaryViolation]:
         raise NotAtBoundaryError(
             "no factor sits at its forced-structure boundary; nothing to check"
         )
+    rows = ordering.rows
     return sorted(
-        BoundaryViolation(row=i - gap, gap=gap, shared=shared)
-        for i, shares in _window_shares(ordering.rows, max(boundary_sizes))
-        for gap, shared in enumerate(shares, start=1)
-        if shared != gap - 1
+        BoundaryViolation(i - gap, gap, sum(map(eq, rows[i - 1], rows[i - 1 - gap])))
+        for gap, at_least, rows_in in _window_masks(ordering, max(boundary_sizes))
+        for i in rows_in(at_least[gap] | (at_least[0] & ~at_least[gap - 1]))
     )
 
 

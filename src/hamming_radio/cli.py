@@ -136,6 +136,17 @@ def verify(path: str, boundary: bool, show_labeling: bool, fmt: str) -> None:
     sys.exit(0 if ok else 1)
 
 
+def _decimal(value: int, formula: str) -> int | str:
+    """value, or `formula` for it when value has more digits than str() and
+    json.dumps write (sys.get_int_max_str_digits(), 4,300 by default;
+    Pythons before 3.10.7 have no limit)."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    # a value of at most 3 * limit bits is below 8**limit, so 10**limit is rarely built
+    if limit and value.bit_length() > 3 * limit and value >= 10**limit:
+        return formula
+    return value
+
+
 @main.command()
 @click.argument("spec_string")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
@@ -143,27 +154,26 @@ def bound(spec_string: str, fmt: str) -> None:
     """Apply the cumulative-width threshold test to a graph spec like '3^4x4^7'."""
     spec = parse_spec_string(spec_string)
     verdict = bound_verdict(spec)
-    if fmt == "json":
-        payload = {
-            "spec": str(spec),
-            "overall": verdict.overall.name,
-            "factors": [
-                {
-                    "size": e.size,
-                    "cumulative_width": e.cumulative_width,
-                    "threshold": e.threshold,
-                    "ruled_out": e.ruled_out,
-                }
-                for e in verdict.factors
-            ],
+    factors = [
+        {
+            "size": e.size,
+            "cumulative_width": _decimal(
+                e.cumulative_width, " + ".join(str(f.copies) for f in spec.factors[: i + 1])
+            ),
+            "threshold": _decimal(e.threshold, f"1 + {e.size}({e.size}^2 - 1)/6"),
+            "ruled_out": e.ruled_out,
         }
+        for i, e in enumerate(verdict.factors)
+    ]
+    if fmt == "json":
+        payload = {"spec": str(spec), "overall": verdict.overall.name, "factors": factors}
         click.echo(json.dumps(payload, indent=2))
     else:
-        for e in verdict.factors:
-            state = "ruled out" if e.ruled_out else "below threshold"
+        for e in factors:
+            state = "ruled out" if e["ruled_out"] else "below threshold"
             click.echo(
-                f"factor K{e.size}: cumulative width {e.cumulative_width}, "
-                f"threshold {e.threshold}: {state}"
+                f"factor K{e['size']}: cumulative width {e['cumulative_width']}, "
+                f"threshold {e['threshold']}: {state}"
             )
         click.echo(f"verdict: {verdict.overall.value}")
     sys.exit(1 if verdict.overall is Gracefulness.NOT_RADIO_GRACEFUL else 0)

@@ -139,6 +139,14 @@ def _require_generator(gen: object) -> None:
         raise MembershipError(f"generator {gen!r} is not an InstructionGenerator")
 
 
+def _fixed_set(gen: InstructionGenerator) -> tuple[Permutation, ...] | None:
+    """The set every row offers, read once per column; None for the history
+    kind, whose set follows the previous instruction."""
+    if gen.kind is GeneratorKind.HISTORY_DEPENDENT:
+        return None
+    return gen.sets(identity(gen.n))
+
+
 def arrangement_trace(
     instructions: Sequence[Permutation], gen: InstructionGenerator
 ) -> list[tuple[int, ...]]:
@@ -152,6 +160,7 @@ def arrangement_trace(
         raise MembershipError("row 1 of an instruction column must be the identity")
     if instrs[1] != gen.sets(instrs[0])[0]:
         raise MembershipError("row 2 of an instruction column must be f_2")
+    fixed = _fixed_set(gen)
     arr = tuple(range(1, n + 1))
     trace = [arr]
     for pos, (previous, sigma) in enumerate(zip(instrs, instrs[1:]), start=2):
@@ -161,7 +170,7 @@ def arrangement_trace(
         if pos > 2 and (
             len(gather) != n
             or gather[0] == 0
-            or gen.sets(previous)[gather[0] - 1].images != sigma.images
+            or (fixed or gen.sets(previous))[gather[0] - 1].images != sigma.images
         ):
             raise MembershipError(
                 f"instruction at position {pos} is not offered by the generator"
@@ -203,6 +212,7 @@ def recover_instructions(
     for a, b in zip(vals, vals[1:]):
         if a == b:
             raise MembershipError("consecutive values in a column must differ")
+    fixed = _fixed_set(gen)
     arr = tuple(range(1, n + 1))
     sigma = identity(n)
     out: list[Permutation] = [sigma]
@@ -210,7 +220,7 @@ def recover_instructions(
         # The front of arr is the previous value, which differs from target
         # (checked above), so slot >= 2 names a member f_slot.
         slot = arr.index(target) + 1
-        sigma = gen.sets(sigma)[slot - 2]
+        sigma = (fixed or gen.sets(sigma))[slot - 2]
         out.append(sigma)
         arr = tuple(map(arr.__getitem__, sigma.gather()))
     return tuple(out)

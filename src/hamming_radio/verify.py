@@ -4,17 +4,23 @@ An ordering lists vertices as rows v^1..v^N.  Labeling row i with the number i
 is a consecutive radio labeling exactly when no two rows repeat and, for every
 gap k below the diameter, rows i and i-k share at most k-1 coordinates.  All
 row and column indices in this module are 1-based to match that convention.
-One kernel, _window_shares, counts the coordinates each row shares with the
-rows just above it; check_ordering, bounds.boundary_structure_check and the
-greedy induced_labeling read only those counts, within t - 1 rows or fewer.
-verify_radio works on labels instead, for any labeling, and reads only the
-pairs whose labels differ by less than t: every other pair meets the condition.
+One kernel, _window_masks, compares all rows at one gap at a time: it packs
+each column into one int, a fixed-width field per row, and reads from an XOR
+of the column with itself shifted by the gap which rows agree with the row
+that far back, as in the shift-and string matching of Baeza-Yates and Gonnet
+(CACM 1992).  check_ordering and bounds.boundary_structure_check read its
+masks, and the greedy induced_labeling reads only check_ordering's window
+violations.  verify_radio works on labels instead, for any labeling, and
+reads only the pairs whose labels differ by less than t: every other pair
+meets the condition.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+import struct
+from collections import Counter
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from operator import eq
 
@@ -99,10 +105,15 @@ class RepetitionViolation:
 
 
 def repetition_violations(rows: tuple[Vertex, ...]) -> list[RepetitionViolation]:
-    """Every pair of row indices holding the same vertex."""
+    """Every pair of row indices holding the same vertex, by the vertex's
+    first row, then by row."""
+    if len(set(rows)) == len(rows):
+        return []
+    repeated = {v for v, count in Counter(rows).items() if count > 1}
     seen: dict[Vertex, list[int]] = {}
     for i, v in enumerate(rows, start=1):
-        seen.setdefault(v, []).append(i)
+        if v in repeated:
+            seen.setdefault(v, []).append(i)
     return [
         RepetitionViolation(a, b)
         for positions in seen.values()
@@ -110,25 +121,82 @@ def repetition_violations(rows: tuple[Vertex, ...]) -> list[RepetitionViolation]
     ]
 
 
-def _window_shares(rows: tuple[Vertex, ...], depth: int):
-    """Yield each row i >= 2 and its shares with rows i-1, ..., i-min(depth, i-1)."""
-    for i in range(1, len(rows)):
-        v = rows[i]
-        yield i + 1, [sum(map(eq, v, rows[i - k])) for k in range(1, min(depth, i) + 1)]
+# field width in bits -> the struct code of a little-endian unsigned field
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _window_masks(ordering: Ordering, depth: int) -> Iterator[tuple[int, list[int], Callable]]:
+    """Yield (gap, at_least, rows_in) for each gap 1..min(depth, N - 1).
+
+    at_least[m], for m <= gap, is a mask of the rows i > gap sharing m or
+    more coordinates with row i - gap, and rows_in(mask) lists the 1-based
+    rows in a mask in increasing order.  Each column is packed with the
+    fewest of 8, 16, 32 or 64 bits per row that hold the largest column
+    size, one width for all columns so that their masks line up, and memory
+    is O(N t) fields whatever the sizes.  For each column,
+    the packed column XOR itself shifted by the gap has a zero field exactly
+    where a row agrees with the row gap back; adding 0x7F..F to each field's
+    low bits carries into its top bit unless the field is zero, so `same`,
+    the rows that agree, costs a few whole-int operations.  The rows before
+    the gap meet a shifted-in 0, never a value, so they agree nowhere.
+    Columns then raise the counts as in search._at_least:
+    at_least[m] |= at_least[m - 1] & same.
+    """
+    rows = ordering.rows
+    n = len(rows)
+    top = max(f.size for f in ordering.spec.factors)
+    width = min(w for w in _FIELD_CODES if top >> w == 0)
+    step = width // 8
+    high = int.from_bytes((bytes(step - 1) + b"\x80") * n, "little")  # each field's top bit
+    low = high - int.from_bytes((b"\x01" + bytes(step - 1)) * n, "little")  # the bits below it
+    # each column as one int, row 1 in the lowest field
+    layout = f"<{n}{_FIELD_CODES[width]}"
+    columns = [int.from_bytes(struct.pack(layout, *column), "little") for column in zip(*rows)]
+
+    def rows_in(mask: int) -> list[int]:
+        if not mask:
+            return []
+        flags = mask.to_bytes(n * step, "little")[step - 1 :: step]  # 0x80 or 0 per row
+        out = []
+        i = flags.find(0x80)
+        while i >= 0:
+            out.append(i + 1)
+            i = flags.find(0x80, i + 1)
+        return out
+
+    for gap in range(1, min(depth, n - 1) + 1):
+        shift = gap * width
+        at_least = [high >> shift << shift] + [0] * gap
+        for j, column in enumerate(columns):
+            moved = column ^ (column << shift)
+            same = high & ~(((moved & low) + low) | moved)
+            for m in range(min(j + 1, gap), 0, -1):
+                at_least[m] |= at_least[m - 1] & same
+        yield gap, at_least, rows_in
+
+
+def _window_violations(ordering: Ordering) -> list[tuple[int, int, int]]:
+    """(row, gap, shared) of every window violation, by row then gap; only the
+    rows the kernel flags have their shared coordinates counted."""
+    rows = ordering.rows
+    found = sorted(
+        (i, gap)
+        for gap, at_least, rows_in in _window_masks(ordering, ordering.spec.diameter - 1)
+        for i in rows_in(at_least[gap])
+    )
+    return [(i, gap, sum(map(eq, rows[i - 1], rows[i - 1 - gap]))) for i, gap in found]
 
 
 def check_ordering(ordering: Ordering) -> list:
-    """All violations of the row-window radio condition, plus repeated row pairs.
+    """All violations of the row-window radio condition, by row then gap,
+    then repeated row pairs.
 
     Empty result means the ordering induces a consecutive radio labeling
     (row number = label).
     """
     require_ordering(ordering)
     return [
-        RadioViolation(row=i, gap=k, shared=shared)
-        for i, shares in _window_shares(ordering.rows, ordering.spec.diameter - 1)
-        for k, shared in enumerate(shares, start=1)
-        if shared >= k
+        RadioViolation(row, gap, shared) for row, gap, shared in _window_violations(ordering)
     ] + repetition_violations(ordering.rows)
 
 
@@ -143,22 +211,27 @@ def induced_labeling(ordering: Ordering) -> Labeling:
 
     Pairs need |f(u) - f(v)| >= t + 1 - d(u, v) = shared + 1, so row i takes
     max(label_{i-1} + 1, label_{i-k} + shared + 1 over k).  Labels rise by at
-    least 1 per row and distinct rows share at most t - 1 coordinates, so for
-    k >= t that bound is at most label_{i-k} + t <= label_{i-1} + 1: the
-    window to depth t - 1 is exact.
+    least 1 per row, so label_{i-1} - label_{i-k} >= k - 1, and the row k
+    back can lift row i above label_{i-1} + 1 only when it shares k or more
+    coordinates: only check_ordering's window violations bind.  For k >= t
+    that never happens, as distinct rows share at most t - 1 coordinates, so
+    the window to depth t - 1 is exact.
     """
     require_ordering(ordering)
     rows = ordering.rows
     if len(set(rows)) != len(rows):
         dup = rows[repetition_violations(rows)[0].row_a - 1]
         raise RepetitionError(f"vertex {dup} appears more than once")
-    labels = [1]
-    for _, shares in _window_shares(rows, ordering.spec.diameter - 1):
+    binding: dict[int, list[tuple[int, int]]] = {}
+    for row, gap, shared in _window_violations(ordering):
+        binding.setdefault(row, []).append((gap, shared))
+    labels = [0]  # labels[i] is row i's label
+    for i in range(1, len(rows) + 1):
         label = labels[-1] + 1
-        for k, shared in enumerate(shares, start=1):
-            label = max(label, labels[-k] + shared + 1)
+        for gap, shared in binding.get(i, ()):
+            label = max(label, labels[i - gap] + shared + 1)
         labels.append(label)
-    return Labeling(ordering.spec, dict(zip(rows, labels)))
+    return Labeling(ordering.spec, dict(zip(rows, labels[1:])))
 
 
 def position_labeling(ordering: Ordering) -> Labeling:
@@ -181,7 +254,7 @@ def verify_radio(labeling: Labeling) -> list[RadioViolation]:
     """Independent all-pairs check of |f(u) - f(v)| >= diameter + 1 - d(u, v).
 
     It reads pairs of labels, not a window of rows, so it also covers
-    labelings that are not consecutive and stays apart from _window_shares
+    labelings that are not consecutive and stays apart from _window_masks
     as its cross-check.  With the items sorted by label, it compares each
     item only with the later ones whose label exceeds its own by less than
     the diameter t.  That is exact: distinct vertices share at most t - 1

@@ -26,6 +26,7 @@ from .oracles import (
     oracle_distinct_columns,
     oracle_segment_search,
     oracle_shared,
+    random_permutation_rows,
     random_weak_rows,
     seeded,
 )
@@ -180,6 +181,24 @@ def test_boundary_structure_flags_broken_rows(golden_k34):
             rows[a], rows[b] = rows[b], rows[a]
         got = boundary_structure_check(Ordering(golden_k34.spec, tuple(rows)))
         assert [(v.row, v.gap, v.shared) for v in got] == oracle_boundary_violations(rows, 3)
+
+
+def test_boundary_structure_matches_oracle_on_random_rows():
+    """The full list against the definition on rows far from any valid
+    ordering: random 3^4 permutations and rows with repeats, and K_2 and
+    2 x 3^4, whose size-2 factor checks gaps up to 2, past K_2's diameter."""
+    rng = seeded(137)
+    for factors, count in (([(3, 4)], 20), ([(2, 1)], 5), ([(2, 1), (3, 4)], 3)):
+        spec = make_graph_spec(factors)
+        depth = max(
+            f.size
+            for f, width in zip(spec.factors, spec.cumulative_widths)
+            if width == factor_threshold(f.size) - 1
+        )
+        for _ in range(count):
+            for rows in (random_permutation_rows(spec, rng), random_weak_rows(spec, rng)):
+                got = boundary_structure_check(Ordering(spec, rows))
+                assert [(v.row, v.gap, v.shared) for v in got] == oracle_boundary_violations(rows, depth)
 
 
 def test_segment_search_rejects_trivial_depth():

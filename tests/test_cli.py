@@ -111,6 +111,35 @@ def test_bound_json(runner):
     }
 
 
+@pytest.mark.parametrize("digits", [1_500, 4_300])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bound_writes_numbers_past_the_digit_limit_as_formulas(runner, digits, fmt):
+    """A threshold 1 + n(n^2 - 1)/6 or a cumulative width of more than 4,300
+    digits is written as its formula: str() and json.dumps refuse it, which
+    ended these runs in a traceback and exit 1."""
+    n = "9" * digits
+    formula = f"1 + {n}({n}^2 - 1)/6"
+    width = f"{n} + {n}"  # copies 2 and 3 sum to 4,301 digits at 4,300
+    for spec, threshold, widths, code in (
+        (n, formula, [1], 0),
+        (f"2^{n} x 3^{n}", 5, [int(n), width] if digits == 4_300 else None, 1),
+    ):
+        result = invoke(runner, "bound", "--format", fmt, spec)
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, (SystemExit, type(None)))
+        if fmt == "json":
+            factors = json.loads(result.output)["factors"]
+            assert factors[-1]["threshold"] == threshold
+            if widths is not None:
+                assert [f["cumulative_width"] for f in factors] == widths
+        else:
+            last = result.output.splitlines()[-2]
+            state = "ruled out" if code else "below threshold"
+            assert last.endswith(f"threshold {threshold}: {state}")
+            if widths is not None:
+                assert f"cumulative width {widths[-1]}, " in last
+
+
 def test_search_finds_and_writes(runner, tmp_path):
     result = invoke(runner, "search", "3^2")
     assert result.exit_code == 0

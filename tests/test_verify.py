@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import pytest
 
 from hamming_radio.documents import parse_spec_string
@@ -68,19 +71,63 @@ def test_window_check_equals_all_pairs_check():
 
 
 def test_check_ordering_matches_definition_oracle():
-    spec = make_graph_spec([(2, 1), (3, 1)])
+    """The whole list, in order, against the all-pairs definition: window
+    violations by row then gap, then the repeated pairs.  The specs cover
+    one machine word (2x3), t >= 3 with N > 64 (3^4, 2^7), mixed sizes,
+    16-bit fields (2x300: sizes past 255), t = 1 (5, K_2); each gets
+    repetition-free and repeating rows."""
     rng = seeded(103)
-    for _ in range(100):
-        rows = random_permutation_rows(spec, rng)
-        ordering = Ordering(spec, rows)
-        labeled = [(v, i) for i, v in enumerate(rows, start=1)]
-        oracle = oracle_pairwise_violations(spec.diameter, labeled)
-        got = sorted(
-            (v.row - v.gap, v.row, v.shared)
-            for v in check_ordering(ordering)
-            if isinstance(v, RadioViolation)
-        )
-        assert got == sorted(oracle)
+    for text, count in (
+        ("2x3", 100),
+        ("3^4", 10),
+        ("2^7", 10),
+        ("2x3x4", 30),
+        ("3^2x4", 10),
+        ("2x300", 1),
+        ("5", 10),
+        ("2", 10),
+    ):
+        spec = parse_spec_string(text)
+        t = spec.diameter
+        for make in [random_permutation_rows] * count + [random_weak_rows] * count:
+            rows = make(spec, rng)
+            labeled = [(v, i) for i, v in enumerate(rows, start=1)]
+            window = [
+                RadioViolation(row=hi, gap=hi - lo, shared=shared)
+                for lo, hi, shared in oracle_pairwise_violations(t, labeled)
+                if hi - lo < t  # a repeat at gap t is reported as a repetition
+            ]
+            got = check_ordering(Ordering(spec, rows))
+            assert got[: len(window)] == window, text
+            repeats = {
+                (a, b)
+                for a, b in itertools.combinations(range(1, len(rows) + 1), 2)
+                if rows[a - 1] == rows[b - 1]
+            }
+            assert all(isinstance(v, RepetitionViolation) for v in got[len(window) :]), text
+            assert {(v.row_a, v.row_b) for v in got[len(window) :]} == repeats, text
+
+
+def test_check_ordering_memory_does_not_grow_with_column_size():
+    """The kernel keeps one packed int per column, a 16-bit field per row for
+    both specs here, whatever the column's size: 3 x 4000 and 32 x 375 have
+    the same 12,000 rows, and per-value masks would take N x summed sizes
+    bits, 6 MB against 0.6 MB.  Rows i -> (i mod a, i mod b) for coprime a,
+    b list every vertex once and differ in both coordinates row to row."""
+    peaks = []
+    for sizes in ((3, 4000), (32, 375)):
+        spec = make_graph_spec([(size, 1) for size in sizes])
+        ordering = Ordering(spec, tuple((i % sizes[0] + 1, i % sizes[1] + 1) for i in range(12_000)))
+        tracemalloc.start()
+        try:
+            assert check_ordering(ordering) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    wide, narrow = peaks
+    assert wide < 1.25 * narrow
+    assert wide < 12_000 * 4003 // 8 // 2  # half the masks of 3 x 4000
 
 
 def test_check_ordering_reports_repetitions():
@@ -93,12 +140,24 @@ def test_check_ordering_reports_repetitions():
 
 def test_repetition_violations_all_pairs():
     rows = ((1, 1), (2, 2), (1, 1), (2, 2), (1, 1), (1, 2), (2, 1), (1, 3), (2, 3))
-    out = repetition_violations(rows)
-    assert RepetitionViolation(1, 3) in out
-    assert RepetitionViolation(1, 5) in out
-    assert RepetitionViolation(3, 5) in out
-    assert RepetitionViolation(2, 4) in out
-    assert len(out) == 4
+    # by each vertex's first row, then by row
+    assert repetition_violations(rows) == [
+        RepetitionViolation(1, 3),
+        RepetitionViolation(1, 5),
+        RepetitionViolation(3, 5),
+        RepetitionViolation(2, 4),
+    ]
+    assert repetition_violations(rows + ((1, 2), (2, 3), (2, 2))) == [
+        RepetitionViolation(1, 3),
+        RepetitionViolation(1, 5),
+        RepetitionViolation(3, 5),
+        RepetitionViolation(2, 4),
+        RepetitionViolation(2, 12),
+        RepetitionViolation(4, 12),
+        RepetitionViolation(6, 10),
+        RepetitionViolation(9, 11),
+    ]
+    assert repetition_violations(rows[5:]) == []
 
 
 def test_synthetic_violation_details(golden_k32):
