@@ -59,11 +59,9 @@ from .instructions import (
 )
 from .perms import Permutation, act, compose, identity
 from .search import (
-    BruteForceResult,
     SearchConfig,
     SearchOutcome,
     SearchStatus,
-    brute_force_radio_graceful,
     search_k34_reduced,
     search_ordering,
 )

@@ -11,6 +11,15 @@ previous instruction to the next set, and a column is a walk through those
 sets.  With row 1 fixed to the identity and row 2 to f_2, encoding and
 decoding are mutually inverse, and a value repeats at gap s exactly when the
 corresponding run of s instructions composes to something fixing slot 1.
+
+Encoding, decoding and the instruction-side check walk each column through
+interned states.  Each distinct arrangement, together with the slot that
+names the next set, or for the check each distinct window of points, is
+stored once as a small number, and the state after a (state, value) or
+(state, instruction) pair is worked out the first time the pair is met, so
+most rows cost a few lookups.  A column keeps at most min(N, n!)
+arrangements, the same O(N n) as the trace arrangement_trace returns, and
+they are freed when the call returns.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -139,18 +149,38 @@ def _require_generator(gen: object) -> None:
         raise MembershipError(f"generator {gen!r} is not an InstructionGenerator")
 
 
-def _fixed_set(gen: InstructionGenerator) -> tuple[Permutation, ...] | None:
-    """The set every row offers, read once per column; None for the history
-    kind, whose set follows the previous instruction."""
-    if gen.kind is GeneratorKind.HISTORY_DEPENDENT:
-        return None
-    return gen.sets(identity(gen.n))
+class _ColumnStates:
+    """A column walk's states: an arrangement and the slot k' that the last
+    instruction brought to the front, which names the next set (kept at 1 by
+    the kinds whose set never changes).  lasts[state] is an instruction that
+    reached the state, so gen.sets(lasts[state]) is its set, and moves[state]
+    maps the caller's key to the next state."""
+
+    def __init__(self, gen: InstructionGenerator) -> None:
+        self.follows = gen.kind is GeneratorKind.HISTORY_DEPENDENT
+        start = tuple(range(1, gen.n + 1))  # state 0
+        self.numbers: dict[tuple[tuple[int, ...], int], int] = {(start, 1): 0}
+        self.arrangements = [start]
+        self.lasts = [identity(gen.n)]
+        self.moves: list[dict] = [{}]
+
+    def after(self, state: int, member: Permutation) -> int:
+        gather = member.gather()
+        arr = tuple(map(self.arrangements[state].__getitem__, gather))
+        kprime = gather[0] + 1 if self.follows else 1
+        nxt = self.numbers.setdefault((arr, kprime), len(self.arrangements))
+        if nxt == len(self.arrangements):
+            self.arrangements.append(arr)
+            self.lasts.append(member)
+            self.moves.append({})
+        return nxt
 
 
 def arrangement_trace(
     instructions: Sequence[Permutation], gen: InstructionGenerator
 ) -> list[tuple[int, ...]]:
-    """Arrangements after each instruction, validating column membership."""
+    """Arrangements after each instruction, validating column membership.
+    An instruction object is checked the first time its state meets it."""
     _require_generator(gen)
     instrs = tuple(instructions)
     n = gen.n
@@ -160,24 +190,27 @@ def arrangement_trace(
         raise MembershipError("row 1 of an instruction column must be the identity")
     if instrs[1] != gen.sets(instrs[0])[0]:
         raise MembershipError("row 2 of an instruction column must be f_2")
-    fixed = _fixed_set(gen)
-    arr = tuple(range(1, n + 1))
-    trace = [arr]
-    for pos, (previous, sigma) in enumerate(zip(instrs, instrs[1:]), start=2):
-        # gather[0] is sigma^-1(1) - 1.  Every member f_k sends k to 1, so sigma
-        # can only be f_k for k = gather[0] + 1, entry gather[0] - 1 of the set.
-        gather = sigma.gather() if isinstance(sigma, Permutation) else ()
-        if pos > 2 and (
-            len(gather) != n
-            or gather[0] == 0
-            or (fixed or gen.sets(previous))[gather[0] - 1].images != sigma.images
-        ):
-            raise MembershipError(
-                f"instruction at position {pos} is not offered by the generator"
-            )
-        # membership fixed sigma's size at n, so act's length check cannot fire
-        arr = tuple(map(arr.__getitem__, gather))
-        trace.append(arr)
+    walk = _ColumnStates(gen)
+    arrangements, moves = walk.arrangements, walk.moves
+    state = walk.after(0, instrs[1])
+    trace = [arrangements[0], arrangements[state]]
+    for sigma in instrs[2:]:
+        nxt = moves[state].get(id(sigma))  # instrs keeps every object alive, so ids stay unique
+        if nxt is None:
+            # gather[0] is sigma^-1(1) - 1.  Every member f_k sends k to 1, so sigma
+            # can only be f_k for k = gather[0] + 1, entry gather[0] - 1 of the set.
+            gather = sigma.gather() if isinstance(sigma, Permutation) else ()
+            if (
+                len(gather) != n
+                or gather[0] == 0
+                or gen.sets(walk.lasts[state])[gather[0] - 1].images != sigma.images
+            ):
+                raise MembershipError(
+                    f"instruction at position {len(trace) + 1} is not offered by the generator"
+                )
+            nxt = moves[state][id(sigma)] = walk.after(state, sigma)
+        state = nxt
+        trace.append(arrangements[state])
     return trace
 
 
@@ -185,7 +218,7 @@ def build_column(
     instructions: Sequence[Permutation], gen: InstructionGenerator
 ) -> tuple[int, ...]:
     """Decode an instruction column into its value column (front of each arrangement)."""
-    return tuple(arr[0] for arr in arrangement_trace(instructions, gen))
+    return tuple(map(itemgetter(0), arrangement_trace(instructions, gen)))
 
 
 def recover_instructions(
@@ -212,17 +245,20 @@ def recover_instructions(
     for a, b in zip(vals, vals[1:]):
         if a == b:
             raise MembershipError("consecutive values in a column must differ")
-    fixed = _fixed_set(gen)
-    arr = tuple(range(1, n + 1))
-    sigma = identity(n)
-    out: list[Permutation] = [sigma]
+    walk = _ColumnStates(gen)
+    moves = walk.moves
+    state = 0
+    out: list[Permutation] = [identity(n)]
     for target in vals[1:]:
-        # The front of arr is the previous value, which differs from target
-        # (checked above), so slot >= 2 names a member f_slot.
-        slot = arr.index(target) + 1
-        sigma = (fixed or gen.sets(sigma))[slot - 2]
+        hit = moves[state].get(target)
+        if hit is None:
+            # The front of the arrangement is the previous value, which differs
+            # from target (checked above), so slot >= 2 names a member f_slot.
+            slot = walk.arrangements[state].index(target) + 1
+            sigma = gen.sets(walk.lasts[state])[slot - 2]
+            hit = moves[state][target] = (sigma, walk.after(state, sigma))
+        sigma, state = hit
         out.append(sigma)
-        arr = tuple(map(arr.__getitem__, sigma.gather()))
     return tuple(out)
 
 
@@ -366,27 +402,50 @@ def check_order_generator(og: OrderGenerator) -> list:
     For each row i and gap s below the diameter, counts the columns whose
     trailing run of s instructions fixes 1; each such column is a shared
     coordinate between rows i-s and i, so counts of s or more are violations.
-    Repeated rows are found on og.ordering, decoded and checked when og was
-    built.  The result matches check_ordering on the decoded ordering exactly;
-    the window counts are kept apart from check_ordering on purpose, as an
-    independent cross-check of it.
+    Summed over the columns, a row's window scores hold each gap's count in
+    a field, and adding 2^(width-1) - s to field s sets its top bit exactly
+    when the count reaches s.  Repeated rows are found on og.ordering, decoded
+    and checked when og was built.  The result matches check_ordering on the
+    decoded ordering exactly; the window counts read only instructions, kept
+    apart from check_ordering on purpose, as an independent cross-check of it.
     """
     _require_order_generator(og)
     t = og.spec.diameter
+    width = t.bit_length() + 1  # a count of up to t columns stays below the top bit
+    half = 1 << width - 1
+    bias = sum((half - s) << (s - 1) * width for s in range(1, t))
+    tops = sum(half << (s - 1) * width for s in range(1, t))
+    totals = [0] * (len(og.cells) - 1)
+    for column in zip(*og.cells):
+        # Interned windows (w_1..w_m), m <= t - 1, where w_s is the point the
+        # trailing run of s instructions sends 1 to; a window's score has bit
+        # (s - 1) * width set when w_s == 1.
+        numbers: dict[tuple[int, ...], int] = {(): 0}
+        windows: list[tuple[int, ...]] = [()]
+        scores = [0]
+        moves: list[dict[int, int]] = [{}]
+        state = 0
+        row_scores = []
+        for sigma in column[1:]:
+            nxt = moves[state].get(id(sigma))  # og keeps every object alive
+            if nxt is None:
+                images = sigma.images  # decoding og checked each cell fits its column
+                window = (images[0], *[images[p - 1] for p in windows[state]])[: t - 1]
+                nxt = numbers.setdefault(window, len(windows))
+                if nxt == len(windows):
+                    windows.append(window)
+                    scores.append(sum(1 << s * width for s, w in enumerate(window) if w == 1))
+                    moves.append({})
+                moves[state][id(sigma)] = nxt
+            state = nxt
+            row_scores.append(scores[state])
+        totals = list(map(add, totals, row_scores))
     out: list = []
-    # windows[j][s - 1] is where the trailing run of s instructions in column
-    # j sends point 1, for s up to min(t - 1, rows so far - 1).
-    windows: list[list[int]] = [[] for _ in range(t)]
-    for i, row in enumerate(og.cells[1:], start=2):
-        limit = min(t - 1, i - 1)
-        for j, sigma in enumerate(row):
-            images = sigma.images  # decoding og checked each cell fits its column
-            windows[j] = [images[0], *[images[p - 1] for p in windows[j][: limit - 1]]]
-        for s, points in enumerate(zip(*windows), start=1):
-            if s > limit:  # only when t == 1: no gap lies below the diameter
-                break
-            count = points.count(1)
-            if count >= s:
-                out.append(RadioViolation(row=i, gap=s, shared=count))
+    for i, total in enumerate(totals, start=2):
+        if (total + bias) & tops:
+            for s in range(1, t):
+                count = (total >> (s - 1) * width) & (2 * half - 1)
+                if count >= s:
+                    out.append(RadioViolation(row=i, gap=s, shared=count))
     out.extend(repetition_violations(og.ordering.rows))
     return out

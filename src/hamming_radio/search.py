@@ -20,7 +20,6 @@ backtracking.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 import random
@@ -34,9 +33,8 @@ from typing import Any
 
 from .errors import InvalidWitnessError, SpecError, TooLargeError
 from .graphs import GraphSpec, Vertex, enumerate_vertices, make_graph_spec, require_spec
-from .verify import Ordering, check_ordering, is_valid_ordering
+from .verify import Ordering, is_valid_ordering
 
-BRUTE_FORCE_CAP = 9  # most vertices brute_force_radio_graceful permutes
 MASK_BIT_CAP = 1 << 25  # most column-mask bits (N x summed sizes) search_ordering builds
 
 
@@ -290,30 +288,6 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
     if status is SearchStatus.FOUND:
         ordering = Ordering(spec, tuple(candidates[pos] for pos in rows))
     return _finish(status, ordering, nodes, max_depth, elapsed)
-
-
-@dataclass(frozen=True)
-class BruteForceResult:
-    graceful: bool
-    witness: Ordering | None
-
-
-def brute_force_radio_graceful(spec: GraphSpec) -> BruteForceResult:
-    """Ground-truth oracle: try every ordering with the first two rows pinned,
-    checking each with the verifier."""
-    require_spec(spec)
-    if spec.has_more_vertices_than(BRUTE_FORCE_CAP):
-        raise TooLargeError(
-            f"{spec.num_vertices_text} vertices exceed the brute-force cap {BRUTE_FORCE_CAP}"
-        )
-    first = spec.constant_vertex(1)
-    second = spec.constant_vertex(2)
-    rest = [v for v in enumerate_vertices(spec) if v not in (first, second)]
-    for perm in itertools.permutations(rest):
-        ordering = Ordering(spec, (first, second) + perm)
-        if not check_ordering(ordering):
-            return BruteForceResult(True, ordering)
-    return BruteForceResult(False, None)
 
 
 _K34 = make_graph_spec([(3, 4)])

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
-from hamming_radio.errors import MembershipError, ShapeError
-from hamming_radio.graphs import shared_coordinates
+from hamming_radio.errors import MembershipError, ShapeError, TooLargeError
+from hamming_radio.graphs import enumerate_vertices, require_spec, shared_coordinates
 from hamming_radio.instructions import GeneratorKind, builtin_generator
 from hamming_radio.perms import Permutation, act, identity
-from hamming_radio.verify import RadioViolation
+from hamming_radio.verify import Ordering, RadioViolation, check_ordering
+
+BRUTE_FORCE_CAP = 9  # most vertices brute_force_radio_graceful permutes
 
 
 def oracle_distance(u, v):
@@ -154,8 +157,6 @@ def random_weak_rows(spec, rng, n_rows=None):
 
 def random_permutation_rows(spec, rng):
     """All vertices exactly once in random order."""
-    from hamming_radio.graphs import enumerate_vertices
-
     rows = list(enumerate_vertices(spec))
     rng.shuffle(rows)
     return tuple(rows)
@@ -517,6 +518,30 @@ def oracle_unpinned_graceful(sizes):
         return False
 
     return extend()
+
+
+@dataclass(frozen=True)
+class BruteForceResult:
+    graceful: bool
+    witness: Ordering | None
+
+
+def brute_force_radio_graceful(spec):
+    """Ground-truth oracle: try every ordering with the first two rows pinned,
+    checking each with the verifier."""
+    require_spec(spec)
+    if spec.has_more_vertices_than(BRUTE_FORCE_CAP):
+        raise TooLargeError(
+            f"{spec.num_vertices_text} vertices exceed the brute-force cap {BRUTE_FORCE_CAP}"
+        )
+    first = spec.constant_vertex(1)
+    second = spec.constant_vertex(2)
+    rest = [v for v in enumerate_vertices(spec) if v not in (first, second)]
+    for perm in itertools.permutations(rest):
+        ordering = Ordering(spec, (first, second) + perm)
+        if not check_ordering(ordering):
+            return BruteForceResult(True, ordering)
+    return BruteForceResult(False, None)
 
 
 # The instruction layer's decode and encode as they stood before permutations

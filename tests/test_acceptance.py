@@ -38,13 +38,12 @@ from hamming_radio.instructions import (
 from hamming_radio.search import (
     SearchConfig,
     SearchStatus,
-    brute_force_radio_graceful,
     search_k34_reduced,
     search_ordering,
 )
 from hamming_radio.verify import check_ordering
 
-from .oracles import random_value_column, seeded
+from .oracles import brute_force_radio_graceful, random_value_column, seeded
 
 ALL_KINDS = (
     GeneratorKind.TRANSPOSITION,

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -29,7 +30,7 @@ from hamming_radio.instructions import (
     subscript_string,
 )
 from hamming_radio.perms import Permutation, act, identity
-from hamming_radio.verify import check_ordering
+from hamming_radio.verify import RadioViolation, check_ordering
 
 from .oracles import (
     oracle_act,
@@ -567,24 +568,78 @@ def test_golden_ordering_decodes_as_order_generator(golden_k34, kind, monkeypatc
 
 
 def test_check_order_generator_matches_ordering_check():
-    spec = make_graph_spec([(3, 3)])
-    gen = builtin_generator(GeneratorKind.LRU, 3)
+    """All four kinds, on random value columns, which break the window rule
+    often: 3^3, one column, columns of two sizes, and 3^8, whose seven gaps
+    each take a 5-bit count field."""
     rng = seeded(311)
-    for _ in range(100):
-        cells_by_column = [
-            recover_instructions(random_value_column(3, spec.num_vertices, rng), gen)
-            for _ in range(spec.diameter)
-        ]
-        og = make_order_generator(spec, list(zip(*cells_by_column)), gen)
-        assert check_order_generator(og) == check_ordering(materialize(og))
-    # one column, and columns of two sizes
-    for factors in ([(3, 1)], [(3, 2), (4, 2)]):
-        spec = make_graph_spec(factors)
-        gens = [builtin_generator("lru", size) for size in spec.column_sizes()]
-        for _ in range(20):
-            cells_by_column = [
-                recover_instructions(random_value_column(g.n, spec.num_vertices, rng), g)
-                for g in gens
-            ]
-            og = make_order_generator(spec, list(zip(*cells_by_column)), gens)
-            assert check_order_generator(og) == check_ordering(materialize(og))
+    for kind in ALL_KINDS:
+        for factors, count in (([(3, 3)], 100), ([(3, 1)], 20), ([(3, 2), (4, 2)], 20), ([(3, 8)], 1)):
+            spec = make_graph_spec(factors)
+            gens = [builtin_generator(kind, size) for size in spec.column_sizes()]
+            gaps = set()
+            for _ in range(count):
+                cells_by_column = [
+                    recover_instructions(random_value_column(g.n, spec.num_vertices, rng), g)
+                    for g in gens
+                ]
+                og = make_order_generator(spec, list(zip(*cells_by_column)), gens)
+                violations = check_order_generator(og)
+                assert violations == check_ordering(materialize(og))
+                gaps.update(v.gap for v in violations if isinstance(v, RadioViolation))
+            # consecutive values in a column differ, so gap 1 never breaks the rule
+            assert gaps == set(range(2, spec.diameter)), (kind, factors)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_decode_checks_each_instruction_object(kind):
+    """Decoding remembers a (state, instruction) pair by the instruction
+    object: equal copies of the set members decode to the same trace, and a
+    permutation with a member's subscript but not its images is refused at
+    every row, also where its state has already met that member."""
+    gen = builtin_generator(kind, 4)
+    column = random_value_column(4, 60, seeded(401 + len(kind.value)))
+    instrs = recover_instructions(column, gen)
+    trace = arrangement_trace(instrs, gen)
+    copies = [Permutation(sigma.images) for sigma in instrs]
+    assert all(c is not s and c == s for c, s in zip(copies, instrs))
+    assert arrangement_trace(copies, gen) == trace
+    mixed = [c if pos % 3 else s for pos, (c, s) in enumerate(zip(copies, instrs))]
+    assert arrangement_trace(mixed, gen) == trace
+    assert build_column(copies, gen) == column
+    for pos in range(3, len(instrs) + 1):
+        images = list(instrs[pos - 1].images)
+        i, j = [slot for slot in range(4) if images[slot] != 1][:2]
+        images[i], images[j] = images[j], images[i]  # still sends its subscript to 1
+        broken = list(instrs)
+        broken[pos - 1] = Permutation(images)
+        with pytest.raises(MembershipError) as err:
+            arrangement_trace(broken, gen)
+        assert str(err.value) == f"instruction at position {pos} is not offered by the generator"
+
+
+def test_history_column_at_the_largest_n_builds_only_the_sets_it_visits(monkeypatch):
+    """n = 1024 is the largest n that ENUMERATION_CAP allows.  A history
+    column over the values 1..3 only visits the sets after slots 1, 2 and 3,
+    so encoding and decoding 50 rows builds those three sets of 1023
+    permutations of 1..1024 and stays well under a second; a table of all
+    1024 sets would be refused at the fourth."""
+    n = 1024
+    assert n * (n - 1) <= instructions.ENUMERATION_CAP < (n + 1) * n
+    build = instructions._recency_set.__wrapped__
+    built = {}  # this test's own sets, freed with it
+
+    def recency_set(size, kprime):
+        if kprime not in built:
+            assert len(built) < 3, f"a fourth history set was built, for slot {kprime}"
+            built[kprime] = build(size, kprime)
+        return built[kprime]
+
+    monkeypatch.setattr(instructions, "_recency_set", recency_set)
+    gen = builtin_generator(GeneratorKind.HISTORY_DEPENDENT, n)
+    column = random_value_column(3, 50, seeded(1024))
+    start = time.perf_counter()
+    encoded = recover_instructions(column, gen)
+    assert build_column(encoded, gen) == column
+    elapsed = time.perf_counter() - start
+    assert sorted(built) == [1, 2, 3]
+    assert elapsed < 1.0

@@ -23,7 +23,6 @@ from hamming_radio.search import (
     SearchStatus,
     _at_least,
     _k34_moves,
-    brute_force_radio_graceful,
     search_k34_reduced,
     search_ordering,
 )
@@ -32,6 +31,7 @@ from hamming_radio.verify import Ordering, check_ordering, is_valid_ordering, pe
 
 from . import oracles
 from .oracles import (
+    brute_force_radio_graceful,
     oracle_depth_first,
     oracle_k34_successors,
     oracle_k34_transitions,

@@ -193,6 +193,23 @@ def test_induced_labeling_matches_greedy_oracle(golden_k32, golden_k34):
         assert [labeling.assignment[v] for v in ordering.rows] == expected
 
 
+def test_labelings_of_an_ordering_equal_the_checked_construction(golden_k34):
+    """induced_labeling and position_labeling build their Labeling without
+    checking the Ordering's rows again; the result equals Labeling(...) with
+    every check, in the same order."""
+    rng = seeded(113)
+    orderings = [golden_k34]
+    for factors in ([(3, 2)], [(2, 1), (3, 2)], [(5, 1)]):
+        spec = make_graph_spec(factors)
+        orderings += [Ordering(spec, random_permutation_rows(spec, rng)) for _ in range(5)]
+    for ordering in orderings:
+        for labeling in (induced_labeling(ordering), position_labeling(ordering)):
+            checked = Labeling(ordering.spec, labeling.assignment)
+            assert labeling == checked
+            assert list(labeling.assignment.items()) == list(checked.assignment.items())
+            assert labeling.assignment is not checked.assignment
+
+
 def test_induced_labeling_rejects_repetition(k32_spec):
     rows = ((1, 1),) * 9
     with pytest.raises(RepetitionError):
@@ -208,6 +225,9 @@ def test_labeling_validation_and_consecutive(k32_spec):
     for labels in ({(1, 1): 1.9, (2, 2): 2.2}, {(1, 1): True}, {(1, 1): "1"}):
         with pytest.raises(ShapeError, match="is not a positive integer"):
             Labeling(k32_spec, labels)
+    for vertex in ((1, 4), (0, 1), (1,), (1, 1.0), (1, True)):
+        with pytest.raises(ShapeError):
+            Labeling(k32_spec, {vertex: 1})
     with pytest.raises(ShapeError) as err:
         Labeling(k32_spec, [((1, 1), 1)])
     assert str(err.value) == "assignment [((1, 1), 1)] is not a mapping of vertices to labels"
