@@ -154,7 +154,7 @@ def parse_instruction_rows(text: str, spec: GraphSpec, kind: GeneratorKind | str
     """Parse an instruction matrix of 'id' / 'f2' / 'f3' ... tokens.
 
     Each column's generator is built from `kind` and the column's size, after
-    the row count matches the spec.  Tokens are resolved against the set that
+    the row count matches the spec.  A token fk is the member f_k that the
     generator offers after the instruction one row up, so the same token can
     mean different permutations for the history kind.
     """
@@ -189,7 +189,7 @@ def parse_instruction_rows(text: str, spec: GraphSpec, kind: GeneratorKind | str
                     raise DocumentError(
                         f"row {i}, column {j + 1}: subscript {subscript} outside 2..{gen.n}"
                     )
-                sigma = gen.sets(cells[-1][j])[subscript - 2]
+                sigma = gen.member(cells[-1][j], subscript)
                 if i == 2 and subscript != 2:
                     raise DocumentError("row 2 must be 'f2' in every column")
             row.append(sigma)

@@ -8,9 +8,13 @@ position, in subscript order (f_k is entry k - 2) and normalized so f_k moves
 the value in slot k to the front (f_k(k) = 1).  The set offered at a row
 depends at most on the instruction one row up, so a generator maps the
 previous instruction to the next set, and a column is a walk through those
-sets.  With row 1 fixed to the identity and row 2 to f_2, encoding and
-decoding are mutually inverse, and a value repeats at gap s exactly when the
-corresponding run of s instructions composes to something fixing slot 1.
+sets.  A member depends only on its subscript k and on the slot k' that the
+previous instruction brought to the front, so each is built alone from a
+closed form, _member, and encoding, decoding and parsing ask for only the
+member they use; only sets() builds a whole set.  With row 1 fixed to the
+identity and row 2 to f_2, encoding and decoding are mutually inverse, and a
+value repeats at gap s exactly when the corresponding run of s instructions
+composes to something fixing slot 1.
 
 Encoding, decoding and the instruction-side check walk each column through
 interned states.  Each distinct arrangement, together with the slot that
@@ -38,7 +42,7 @@ from .errors import (
 )
 from .graphs import GraphSpec, make_graph_spec, require_spec
 from .perms import Permutation, identity, require_permutation
-from .verify import Ordering, RadioViolation, repetition_violations
+from .verify import Ordering, RadioViolation, _unchecked, repetition_violations
 
 ENUMERATION_CAP = 1 << 20  # most runs or columns an enumeration builds
 
@@ -56,7 +60,8 @@ class InstructionGenerator:
 
     The transposition, lru and ltu kinds offer the same set at every row; the
     history kind reads which slot the previous instruction brought to the
-    front.  A set holds n(n - 1) images, which may not exceed ENUMERATION_CAP.
+    front.  The set sets() returns holds n(n - 1) images, which may not
+    exceed ENUMERATION_CAP; member() builds one member of n images.
     """
 
     kind: GeneratorKind
@@ -75,68 +80,48 @@ class InstructionGenerator:
         if self.n * (self.n - 1) > ENUMERATION_CAP:
             raise UnsupportedSizeError(f"n(n - 1) for n={self.n} exceeds the cap of {ENUMERATION_CAP}")
 
-    def sets(self, previous: Permutation) -> tuple[Permutation, ...]:
-        """The set f_2..f_n offered after the instruction `previous`, in
-        subscript order, so f_k is entry k - 2; for row 2, `previous` is the
-        identity in row 1."""
-        if self.kind is GeneratorKind.LRU:
-            return _lru_set(self.n)
-        if self.kind is GeneratorKind.LTU:
-            return _ltu_set(self.n)
-        if self.kind is GeneratorKind.TRANSPOSITION:
-            return _recency_set(self.n, 1)
+    def member(self, previous: Permutation, k: int) -> Permutation:
+        """f_k of the set offered after the instruction `previous`, built
+        alone: sets(previous)[k - 2]."""
+        if type(k) is not int or not 2 <= k <= self.n:  # not bool, not 2.0
+            raise MembershipError(f"no member f_{k!r} among f_2..f_{self.n}")
+        if self.kind is not GeneratorKind.HISTORY_DEPENDENT:
+            return _member(self.kind, self.n, 1, k)
         if not isinstance(previous, Permutation):
             raise MembershipError(f"previous instruction {previous!r} is not a Permutation")
         if previous.n != self.n:
             raise MembershipError("previous instruction permutes a different 1..n")
-        return _recency_set(self.n, previous.inverse()(1))
+        return _member(self.kind, self.n, previous.inverse()(1), k)
+
+    def sets(self, previous: Permutation) -> tuple[Permutation, ...]:
+        """The set f_2..f_n offered after the instruction `previous`, in
+        subscript order, so f_k is entry k - 2; for row 2, `previous` is the
+        identity in row 1."""
+        return tuple(self.member(previous, k) for k in range(2, self.n + 1))
 
 
-@lru_cache(maxsize=None)
-def _lru_set(n: int) -> tuple[Permutation, ...]:
-    out = []
-    for k in range(2, n + 1):
-        images = list(range(1, n + 1))
-        for i in range(1, k):
-            images[i - 1] = i + 1
-        images[k - 1] = 1
-        out.append(Permutation(images))
-    return tuple(out)
+MEMBER_CACHE = 1024  # most members kept; the least recently used go first
 
 
-@lru_cache(maxsize=None)
-def _ltu_set(n: int) -> tuple[Permutation, ...]:
-    out = []
-    for k in range(2, n + 1):
-        images = list(range(1, n + 1))
-        if k == 2:
-            images[0], images[1] = 2, 1
-        else:
-            images[0], images[1], images[k - 1] = 2, k, 1
-        out.append(Permutation(images))
-    return tuple(out)
+@lru_cache(maxsize=MEMBER_CACHE)
+def _member(kind: GeneratorKind, n: int, kprime: int, k: int) -> Permutation:
+    """f_k over 1..n after an instruction that brought slot kprime to the
+    front (1 after the identity, and always 1 for the kinds other than history).
 
-
-@lru_cache(maxsize=None)
-def _recency_set(n: int, kprime: int) -> tuple[Permutation, ...]:
-    """Sets keyed by the slot kprime that the previous instruction brought to
-    the front (1 after the identity).
-
-    f_k for k != kprime cycles 1 -> kprime -> k -> 1; the remaining member,
-    and every member when kprime is 1, is the transposition (1 k).  With
-    kprime fixed at 1 this is the transposition kind's set.
+    lru shifts slots 1..k - 1 down one and brings slot k to the front; ltu
+    with k > 2 cycles 1 -> 2 -> k -> 1; history with kprime not 1 or k cycles
+    1 -> kprime -> k -> 1.  Every other member is the transposition (1 k).
     """
-    out = []
-    for k in range(2, n + 1):
-        images = list(range(1, n + 1))
-        if k == kprime or kprime == 1:
-            images[0], images[k - 1] = k, 1
-        else:
-            images[0] = kprime
-            images[kprime - 1] = k
-            images[k - 1] = 1
-        out.append(Permutation(images))
-    return tuple(out)
+    images = list(range(1, n + 1))
+    if kind is GeneratorKind.LRU:
+        images[:k] = [*range(2, k + 1), 1]
+    elif kind is GeneratorKind.LTU and k > 2:
+        images[0], images[1], images[k - 1] = 2, k, 1
+    elif kind is GeneratorKind.HISTORY_DEPENDENT and kprime not in (1, k):
+        images[0], images[kprime - 1], images[k - 1] = kprime, k, 1
+    else:
+        images[0], images[k - 1] = k, 1
+    return Permutation(images)
 
 
 def builtin_generator(kind: GeneratorKind | str, n: int) -> InstructionGenerator:
@@ -152,8 +137,8 @@ def _require_generator(gen: object) -> None:
 class _ColumnStates:
     """A column walk's states: an arrangement and the slot k' that the last
     instruction brought to the front, which names the next set (kept at 1 by
-    the kinds whose set never changes).  lasts[state] is an instruction that
-    reached the state, so gen.sets(lasts[state]) is its set, and moves[state]
+    the kinds whose set never changes).  kprimes[state] is that slot, so
+    _member(kind, n, kprimes[state], k) is the state's f_k, and moves[state]
     maps the caller's key to the next state."""
 
     def __init__(self, gen: InstructionGenerator) -> None:
@@ -161,7 +146,7 @@ class _ColumnStates:
         start = tuple(range(1, gen.n + 1))  # state 0
         self.numbers: dict[tuple[tuple[int, ...], int], int] = {(start, 1): 0}
         self.arrangements = [start]
-        self.lasts = [identity(gen.n)]
+        self.kprimes = [1]
         self.moves: list[dict] = [{}]
 
     def after(self, state: int, member: Permutation) -> int:
@@ -171,7 +156,7 @@ class _ColumnStates:
         nxt = self.numbers.setdefault((arr, kprime), len(self.arrangements))
         if nxt == len(self.arrangements):
             self.arrangements.append(arr)
-            self.lasts.append(member)
+            self.kprimes.append(kprime)
             self.moves.append({})
         return nxt
 
@@ -188,7 +173,7 @@ def arrangement_trace(
         raise MembershipError("an instruction column needs at least two rows")
     if instrs[0] != identity(n):
         raise MembershipError("row 1 of an instruction column must be the identity")
-    if instrs[1] != gen.sets(instrs[0])[0]:
+    if instrs[1] != _member(gen.kind, n, 1, 2):
         raise MembershipError("row 2 of an instruction column must be f_2")
     walk = _ColumnStates(gen)
     arrangements, moves = walk.arrangements, walk.moves
@@ -198,12 +183,12 @@ def arrangement_trace(
         nxt = moves[state].get(id(sigma))  # instrs keeps every object alive, so ids stay unique
         if nxt is None:
             # gather[0] is sigma^-1(1) - 1.  Every member f_k sends k to 1, so sigma
-            # can only be f_k for k = gather[0] + 1, entry gather[0] - 1 of the set.
+            # can only be f_k for k = gather[0] + 1.
             gather = sigma.gather() if isinstance(sigma, Permutation) else ()
             if (
                 len(gather) != n
                 or gather[0] == 0
-                or gen.sets(walk.lasts[state])[gather[0] - 1].images != sigma.images
+                or _member(gen.kind, n, walk.kprimes[state], gather[0] + 1).images != sigma.images
             ):
                 raise MembershipError(
                     f"instruction at position {len(trace) + 1} is not offered by the generator"
@@ -255,7 +240,7 @@ def recover_instructions(
             # The front of the arrangement is the previous value, which differs
             # from target (checked above), so slot >= 2 names a member f_slot.
             slot = walk.arrangements[state].index(target) + 1
-            sigma = gen.sets(walk.lasts[state])[slot - 2]
+            sigma = _member(gen.kind, n, walk.kprimes[state], slot)
             hit = moves[state][target] = (sigma, walk.after(state, sigma))
         sigma, state = hit
         out.append(sigma)
@@ -279,7 +264,8 @@ def _walks(
     if length == 0:
         yield ()
         return
-    for sigma in gen.sets(previous):
+    for k in range(2, gen.n + 1):
+        sigma = gen.member(previous, k)
         for rest in _walks(gen, sigma, length - 1):
             yield (sigma,) + rest
 
@@ -321,7 +307,7 @@ def enumerate_instruction_columns(
     if length < 2:
         raise ShapeError(f"column length must be >= 2, got {length}")
     _refuse_past_cap(gen, length - 2, "columns")
-    head = (identity(gen.n), gen.sets(identity(gen.n))[0])
+    head = (identity(gen.n), gen.member(identity(gen.n), 2))
     return [head + walk for walk in _walks(gen, head[1], length - 2)]
 
 
@@ -371,7 +357,9 @@ class OrderGenerator:
                     f"generator is over 1..{gen.n}"
                 )
         columns = [build_column(col, gen) for col, gen in zip(zip(*cells), gens)]
-        object.__setattr__(self, "ordering", Ordering(self.spec, tuple(zip(*columns))))
+        # decoded columns hold values 1..n of their size, so the rows need no check
+        ordering = _unchecked(Ordering, spec=self.spec, rows=tuple(zip(*columns)))
+        object.__setattr__(self, "ordering", ordering)
 
 
 def make_order_generator(

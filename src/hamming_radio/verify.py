@@ -74,13 +74,14 @@ class Labeling:
         return self.spec.has_vertex_count(len(self.assignment))
 
 
-def _labeling_of_rows(spec: GraphSpec, assignment: dict[Vertex, int]) -> Labeling:
-    """A Labeling of rows that an Ordering has already validated and of
-    positive labels, built without __post_init__'s second pass over them."""
-    labeling = object.__new__(Labeling)
-    object.__setattr__(labeling, "spec", spec)
-    object.__setattr__(labeling, "assignment", assignment)
-    return labeling
+def _unchecked(cls: type, **fields: object):
+    """An Ordering or Labeling whose fields the caller has already made
+    valid: vertices of the spec, N rows, positive labels.  It is built
+    without __post_init__'s second pass over them."""
+    made = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(made, name, value)
+    return made
 
 
 def require_labeling(labeling: object) -> None:
@@ -240,7 +241,7 @@ def induced_labeling(ordering: Ordering) -> Labeling:
         for gap, shared in binding.get(i, ()):
             label = max(label, labels[i - gap] + shared + 1)
         labels.append(label)
-    return _labeling_of_rows(ordering.spec, dict(zip(rows, labels[1:])))
+    return _unchecked(Labeling, spec=ordering.spec, assignment=dict(zip(rows, labels[1:])))
 
 
 def position_labeling(ordering: Ordering) -> Labeling:
@@ -249,7 +250,9 @@ def position_labeling(ordering: Ordering) -> Labeling:
     rows = ordering.rows
     if len(set(rows)) != len(rows):
         raise RepetitionError("ordering repeats a vertex; row numbers do not form a labeling")
-    return _labeling_of_rows(ordering.spec, {v: i for i, v in enumerate(rows, start=1)})
+    return _unchecked(
+        Labeling, spec=ordering.spec, assignment={v: i for i, v in enumerate(rows, start=1)}
+    )
 
 
 def is_consecutive(labeling: Labeling) -> bool:

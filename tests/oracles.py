@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from hamming_radio.errors import MembershipError, ShapeError, TooLargeError
 from hamming_radio.graphs import enumerate_vertices, require_spec, shared_coordinates
-from hamming_radio.instructions import GeneratorKind, builtin_generator
+from hamming_radio.instructions import GeneratorKind
 from hamming_radio.perms import Permutation, act, identity
 from hamming_radio.verify import Ordering, RadioViolation, check_ordering
 
@@ -318,8 +318,7 @@ def oracle_k34_transitions():
     f_2.  Each column's shift-to-front arrangement is (v_j, u_j, other), f_2
     goes to column c and f_3 to the rest, and the new row reads off the fronts.
     """
-    iset = builtin_generator(GeneratorKind.LRU, 3).sets(identity(3))
-    f2, f3 = iset
+    f2, f3 = oracle_instruction_set(GeneratorKind.LRU, 3, 1)
     vertices = list(itertools.product((1, 2, 3), repeat=4))
     out = {}
     for u, v in itertools.product(vertices, repeat=2):
@@ -544,11 +543,72 @@ def brute_force_radio_graceful(spec):
     return BruteForceResult(False, None)
 
 
+# The instruction sets as three whole-set builders, before members were built
+# one at a time from a closed form.  Copied verbatim, without their caches.
+
+
+def _lru_set(n: int) -> tuple[Permutation, ...]:
+    out = []
+    for k in range(2, n + 1):
+        images = list(range(1, n + 1))
+        for i in range(1, k):
+            images[i - 1] = i + 1
+        images[k - 1] = 1
+        out.append(Permutation(images))
+    return tuple(out)
+
+
+def _ltu_set(n: int) -> tuple[Permutation, ...]:
+    out = []
+    for k in range(2, n + 1):
+        images = list(range(1, n + 1))
+        if k == 2:
+            images[0], images[1] = 2, 1
+        else:
+            images[0], images[1], images[k - 1] = 2, k, 1
+        out.append(Permutation(images))
+    return tuple(out)
+
+
+def _recency_set(n: int, kprime: int) -> tuple[Permutation, ...]:
+    """Sets keyed by the slot kprime that the previous instruction brought to
+    the front (1 after the identity).
+
+    f_k for k != kprime cycles 1 -> kprime -> k -> 1; the remaining member,
+    and every member when kprime is 1, is the transposition (1 k).  With
+    kprime fixed at 1 this is the transposition kind's set.
+    """
+    out = []
+    for k in range(2, n + 1):
+        images = list(range(1, n + 1))
+        if k == kprime or kprime == 1:
+            images[0], images[k - 1] = k, 1
+        else:
+            images[0] = kprime
+            images[kprime - 1] = k
+            images[k - 1] = 1
+        out.append(Permutation(images))
+    return tuple(out)
+
+
+def oracle_instruction_set(kind, n, kprime):
+    """The set f_2..f_n of `kind` over 1..n after an instruction that brought
+    slot kprime to the front; only the history kind reads kprime."""
+    kind = GeneratorKind(kind)
+    if kind is GeneratorKind.LRU:
+        return _lru_set(n)
+    if kind is GeneratorKind.LTU:
+        return _ltu_set(n)
+    if kind is GeneratorKind.TRANSPOSITION:
+        return _recency_set(n, 1)
+    return _recency_set(n, kprime)
+
+
 # The instruction layer's decode and encode as they stood before permutations
 # cached their gather and instruction sets mapped images to subscripts: an
 # inverse permutation built per membership test and a generator expression per
-# action.  Copied verbatim, except that they call each other instead of the
-# package's act and `in`.
+# action.  Copied verbatim, except that they call each other and
+# oracle_instruction_set instead of the package's act, `in` and gen.sets.
 
 
 def oracle_act(sigma, arrangement):
@@ -593,7 +653,7 @@ def oracle_arrangement_trace(instructions, gen):
     trace = [arr]
     for pos in range(2, len(instrs) + 1):
         sigma = instrs[pos - 1]
-        iset = gen.sets(instrs[pos - 2])
+        iset = oracle_instruction_set(gen.kind, n, instrs[pos - 2].inverse()(1))
         if pos == 2:
             if sigma != iset[0]:
                 raise MembershipError("row 2 of an instruction column must be f_2")
@@ -629,7 +689,7 @@ def oracle_recover_instructions(values, gen):
     for pos in range(2, len(vals) + 1):
         target = vals[pos - 1]
         slot = arr.index(target) + 1
-        sigma = gen.sets(out[-1])[slot - 2]
+        sigma = oracle_instruction_set(gen.kind, n, out[-1].inverse()(1))[slot - 2]
         out.append(sigma)
         arr = oracle_act(sigma, arr)
     return tuple(out)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,8 @@ from hamming_radio.instructions import (
     recover_instructions,
     subscript_string,
 )
+
+from .oracles import oracle_recover_instructions, seeded
 
 
 @pytest.mark.parametrize(
@@ -156,6 +159,27 @@ def test_parse_instruction_rows_reconstructs_golden(golden_k34, kind):
     text = instruction_text_for(golden_k34, builtin_generator(kind, 3))
     og = parse_instruction_rows(text, golden_k34.spec, kind)
     assert materialize(og).rows == golden_k34.rows
+
+
+def test_parse_history_rows_of_k256_keeps_few_members():
+    """Parsing and decoding a 256-row history column over 1..256 builds only
+    the members its tokens name, so the traced peak stays under 8 MiB.  The
+    tokens come from the reference encoder, which leaves the package's
+    member cache cold."""
+    spec = make_graph_spec([(256, 1)])
+    rest = list(range(3, 257))
+    seeded(256).shuffle(rest)
+    column = (1, 2, *rest)
+    encoded = oracle_recover_instructions(column, builtin_generator("history", 256))
+    text = "id\n" + "".join(f"f{sigma.inverse()(1)}\n" for sigma in encoded[1:])
+    tracemalloc.start()
+    try:
+        og = parse_instruction_rows(text, spec, "history")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert materialize(og).rows == tuple((v,) for v in column)
+    assert peak < 8 * 2**20
 
 
 def test_parse_instruction_rows_errors(golden_k32):

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import time
 import tracemalloc
@@ -12,7 +13,7 @@ from hamming_radio.errors import (
     SpecError,
     UnsupportedSizeError,
 )
-from hamming_radio.graphs import make_graph_spec
+from hamming_radio.graphs import GraphSpec, make_graph_spec
 from hamming_radio.instructions import (
     GeneratorKind,
     InstructionGenerator,
@@ -30,12 +31,13 @@ from hamming_radio.instructions import (
     subscript_string,
 )
 from hamming_radio.perms import Permutation, act, identity
-from hamming_radio.verify import RadioViolation, check_ordering
+from hamming_radio.verify import Ordering, RadioViolation, check_ordering
 
 from .oracles import (
     oracle_act,
     oracle_arrangement_trace,
     oracle_contains,
+    oracle_instruction_set,
     oracle_recency_fixing_count,
     oracle_recover_instructions,
     oracle_run_fixes_one,
@@ -617,29 +619,112 @@ def test_decode_checks_each_instruction_object(kind):
         assert str(err.value) == f"instruction at position {pos} is not offered by the generator"
 
 
-def test_history_column_at_the_largest_n_builds_only_the_sets_it_visits(monkeypatch):
-    """n = 1024 is the largest n that ENUMERATION_CAP allows.  A history
-    column over the values 1..3 only visits the sets after slots 1, 2 and 3,
-    so encoding and decoding 50 rows builds those three sets of 1023
-    permutations of 1..1024 and stays well under a second; a table of all
-    1024 sets would be refused at the fourth."""
+def test_history_column_at_the_largest_n_builds_only_the_members_it_uses(monkeypatch):
+    """n = 1024 is the largest n that ENUMERATION_CAP allows.  Encoding and
+    decoding a 50-row history column over the values 1..50 builds at most one
+    member per row, so a stand-in Permutation that refuses a 101st
+    permutation is never reached and the round trip stays well under a
+    second; building the whole set of 1023 members at a row would be refused
+    inside the first.  The identities are built as stand-ins too, so that
+    they pass the layer's isinstance checks."""
     n = 1024
     assert n * (n - 1) <= instructions.ENUMERATION_CAP < (n + 1) * n
-    build = instructions._recency_set.__wrapped__
-    built = {}  # this test's own sets, freed with it
+    built = []
 
-    def recency_set(size, kprime):
-        if kprime not in built:
-            assert len(built) < 3, f"a fourth history set was built, for slot {kprime}"
-            built[kprime] = build(size, kprime)
-        return built[kprime]
+    class Counted(Permutation):
+        __slots__ = ()
 
-    monkeypatch.setattr(instructions, "_recency_set", recency_set)
+        def __init__(self, images):
+            built.append(None)
+            assert len(built) <= 100, "a 101st permutation of 1..1024 was built"
+            super().__init__(images)
+
+    monkeypatch.setattr(instructions, "Permutation", Counted)
+    monkeypatch.setattr(instructions, "identity", lambda size: Counted(range(1, size + 1)))
     gen = builtin_generator(GeneratorKind.HISTORY_DEPENDENT, n)
-    column = random_value_column(3, 50, seeded(1024))
+    column = random_value_column(50, 50, seeded(1024))
     start = time.perf_counter()
     encoded = recover_instructions(column, gen)
     assert build_column(encoded, gen) == column
     elapsed = time.perf_counter() - start
-    assert sorted(built) == [1, 2, 3]
     assert elapsed < 1.0
+
+
+def test_history_fixing_runs_keep_few_members():
+    """Runs of two history instructions over 1..128 visit 127 * 128 members;
+    the bounded member cache keeps the traced peak to a few of them."""
+    gen = builtin_generator(GeneratorKind.HISTORY_DEPENDENT, 128)
+    tracemalloc.start()
+    try:
+        runs = enumerate_fixing_runs(gen, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(runs) == oracle_recency_fixing_count(128, 2)
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", range(3, 10))
+def test_sets_and_members_equal_the_whole_set_builders(kind, n):
+    """sets() after an instruction that brought slot k' to the front, for
+    every k', equals the whole-set builders copied into tests/oracles.py, and
+    member(previous, k) is its entry k - 2; member refuses other subscripts."""
+    gen = builtin_generator(kind, n)
+    for kprime in range(1, n + 1):
+        images = list(range(1, n + 1))
+        images[0], images[kprime - 1] = kprime, 1
+        previous = Permutation(images)  # (1 k'), the identity for k' = 1
+        assert previous.inverse()(1) == kprime
+        iset = gen.sets(previous)
+        assert iset == oracle_instruction_set(kind, n, kprime)
+        assert [gen.member(previous, k) for k in range(2, n + 1)] == list(iset)
+    for k in (1, n + 1, True, 2.0, "2"):
+        with pytest.raises(MembershipError) as err:
+            gen.member(identity(n), k)
+        assert str(err.value) == f"no member f_{k!r} among f_2..f_{n}"
+
+
+def test_decoding_an_order_generator_validates_no_vertex(monkeypatch):
+    """The decoded columns hold values 1..n of their sizes, so building the
+    ordering of a 5^4 matrix asks validate_vertex about no row."""
+    spec = make_graph_spec([(5, 4)])
+    gens = [builtin_generator(kind, 5) for kind in ALL_KINDS]
+    rng = seeded(56)
+    columns = [random_value_column(5, spec.num_vertices, rng) for _ in gens]
+    cells = list(zip(*(recover_instructions(col, g) for col, g in zip(columns, gens))))
+    calls = []
+    real = GraphSpec.validate_vertex
+
+    def counting(self, v):
+        calls.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(GraphSpec, "validate_vertex", counting)
+    og = make_order_generator(spec, cells, gens)
+    assert calls == []
+    assert materialize(og) == Ordering(spec, tuple(zip(*columns)))
+
+
+def test_instructions_keep_one_bounded_cache():
+    """The instruction layer memoizes through exactly one lru_cache, and its
+    maxsize is a bounded integer, so no unbounded set table can come back."""
+    with open(instructions.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    caches = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+        or isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+    ]
+    assert len(caches) == 1
+    (decorated,) = [
+        deco
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for deco in node.decorator_list
+        if isinstance(deco, ast.Call) and deco.func is caches[0]
+    ]
+    (maxsize,) = [kw.value for kw in decorated.keywords if kw.arg == "maxsize"] + decorated.args
+    bound = eval(ast.unparse(maxsize), vars(instructions))
+    assert type(bound) is int and 0 < bound <= 1 << 16
