@@ -287,14 +287,28 @@ def enumerate_fixing_runs(
 ) -> frozenset[tuple[Permutation, ...]]:
     """All legal runs of `length` instructions starting at row 2 whose
     composition fixes 1.  A value column repeats at gap s exactly where its
-    trailing run of s instructions lands in this set."""
+    trailing run of s instructions lands in this set.
+
+    Every member f_k sends only k to 1, so a run fixes 1 exactly when its
+    last member is f_p, where p is the point its first length - 1 members
+    send 1 to.  So the (n-1)**(length-1) prefixes are walked and each whose
+    p is not 1 is closed by its one f_p; the cap still counts the
+    (n-1)**length candidate runs."""
     _require_generator(gen)
     if type(length) is not int:  # not bool, not 2.0, not '2'
         raise ShapeError(f"run length must be an integer, got {length!r}")
     if length < 1:
         raise ShapeError(f"run length must be >= 1, got {length}")
     _refuse_past_cap(gen, length, "candidate runs")
-    return frozenset(filter(run_fixes_one, _walks(gen, identity(gen.n), length)))
+    start = identity(gen.n)
+    runs = set()
+    for prefix in _walks(gen, start, length - 1):
+        point = 1
+        for sigma in prefix:
+            point = sigma.images[point - 1]
+        if point != 1:
+            runs.add(prefix + (gen.member((start, *prefix)[-1], point),))
+    return frozenset(runs)
 
 
 def enumerate_instruction_columns(
@@ -411,20 +425,20 @@ def check_order_generator(og: OrderGenerator) -> list:
         numbers: dict[tuple[int, ...], int] = {(): 0}
         windows: list[tuple[int, ...]] = [()]
         scores = [0]
-        moves: list[dict[int, int]] = [{}]
+        moves: list[dict[tuple[int, ...], int]] = [{}]
         state = 0
         row_scores = []
         for sigma in column[1:]:
-            nxt = moves[state].get(id(sigma))  # og keeps every object alive
+            images = sigma.images  # the step's whole input, as decoding og checked each cell
+            nxt = moves[state].get(images)
             if nxt is None:
-                images = sigma.images  # decoding og checked each cell fits its column
                 window = (images[0], *[images[p - 1] for p in windows[state]])[: t - 1]
                 nxt = numbers.setdefault(window, len(windows))
                 if nxt == len(windows):
                     windows.append(window)
                     scores.append(sum(1 << s * width for s, w in enumerate(window) if w == 1))
                     moves.append({})
-                moves[state][id(sigma)] = nxt
+                moves[state][images] = nxt
             state = nxt
             row_scores.append(scores[state])
         totals = list(map(add, totals, row_scores))

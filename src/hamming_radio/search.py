@@ -82,10 +82,17 @@ class SearchOutcome:
 
 
 def _finish(
-    status: SearchStatus, ordering: Ordering | None, nodes: int, depth: int, elapsed: float
+    spec: GraphSpec, found: Iterable[Vertex], status: SearchStatus, nodes: int, depth: int, elapsed: float
 ) -> SearchOutcome:
-    if ordering is not None and not is_valid_ordering(ordering):
-        raise InvalidWitnessError(f"search produced an invalid ordering of {ordering.spec}")
+    """The one way every search ends.  found, the rows as vertices, is read
+    only when status is FOUND; it becomes the outcome's Ordering of spec,
+    which must pass is_valid_ordering or raise InvalidWitnessError, an
+    explicit check that survives python -O.  Other outcomes carry no ordering."""
+    ordering = None
+    if status is SearchStatus.FOUND:
+        ordering = Ordering(spec, tuple(found))
+        if not is_valid_ordering(ordering):
+            raise InvalidWitnessError(f"search produced an invalid ordering of {spec}")
     return SearchOutcome(status, ordering, nodes, depth, elapsed)
 
 
@@ -281,13 +288,8 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
     step(candidates.index(spec.constant_vertex(1)))
     first = step(candidates.index(spec.constant_vertex(2)))
 
-    status, nodes, max_depth, elapsed = _depth_first(
-        rows, n_total, first, step, pop, config.node_budget, config.time_budget
-    )
-    ordering = None
-    if status is SearchStatus.FOUND:
-        ordering = Ordering(spec, tuple(candidates[pos] for pos in rows))
-    return _finish(status, ordering, nodes, max_depth, elapsed)
+    outcome = _depth_first(rows, n_total, first, step, pop, config.node_budget, config.time_budget)
+    return _finish(spec, map(candidates.__getitem__, rows), *outcome)
 
 
 _K34 = make_graph_spec([(3, 4)])
@@ -362,7 +364,8 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
     """
     config = _config(config)
     table = _k34_moves()
-    n_total = len(table) // 16  # 16 steps per row
+    vertices = list(enumerate_vertices(_K34))  # position i holds the vertex of index i
+    n_total = len(vertices)
     rng = None if config.seed is None else random.Random(config.seed)
     one, two = (_K34.vertex_index(_K34.constant_vertex(value)) for value in (1, 2))
     rows = [one]
@@ -388,11 +391,5 @@ def search_k34_reduced(config: SearchConfig | None = None) -> SearchOutcome:
         free |= 1 << rows.pop()
 
     first = step((-1, 1 << two, two, 0, table[16 * two]))  # step 0 is +1 in every coordinate
-    status, nodes, max_depth, elapsed = _depth_first(
-        rows, n_total, first, step, pop, config.node_budget, config.time_budget
-    )
-    ordering = None
-    if status is SearchStatus.FOUND:
-        vertices = tuple(enumerate_vertices(_K34))  # position i holds the vertex of index i
-        ordering = Ordering(_K34, tuple(vertices[i] for i in rows))
-    return _finish(status, ordering, nodes, max_depth, elapsed)
+    outcome = _depth_first(rows, n_total, first, step, pop, config.node_budget, config.time_budget)
+    return _finish(_K34, map(vertices.__getitem__, rows), *outcome)

@@ -619,6 +619,27 @@ def test_decode_checks_each_instruction_object(kind):
         assert str(err.value) == f"instruction at position {pos} is not offered by the generator"
 
 
+def _refuse_permutations_past(monkeypatch, limit):
+    """Stand in for the instruction layer's Permutation and identity with a
+    subclass that refuses to build more than `limit` permutations, and clear
+    the member cache so that every member the layer uses is built anew.
+    Returns the list that gains one entry per permutation built."""
+    built = []
+
+    class Counted(Permutation):
+        __slots__ = ()
+
+        def __init__(self, images):
+            built.append(None)
+            assert len(built) <= limit, f"permutation number {limit + 1} was built"
+            super().__init__(images)
+
+    monkeypatch.setattr(instructions, "Permutation", Counted)
+    monkeypatch.setattr(instructions, "identity", lambda size: Counted(range(1, size + 1)))
+    instructions._member.cache_clear()
+    return built
+
+
 def test_history_column_at_the_largest_n_builds_only_the_members_it_uses(monkeypatch):
     """n = 1024 is the largest n that ENUMERATION_CAP allows.  Encoding and
     decoding a 50-row history column over the values 1..50 builds at most one
@@ -629,18 +650,7 @@ def test_history_column_at_the_largest_n_builds_only_the_members_it_uses(monkeyp
     they pass the layer's isinstance checks."""
     n = 1024
     assert n * (n - 1) <= instructions.ENUMERATION_CAP < (n + 1) * n
-    built = []
-
-    class Counted(Permutation):
-        __slots__ = ()
-
-        def __init__(self, images):
-            built.append(None)
-            assert len(built) <= 100, "a 101st permutation of 1..1024 was built"
-            super().__init__(images)
-
-    monkeypatch.setattr(instructions, "Permutation", Counted)
-    monkeypatch.setattr(instructions, "identity", lambda size: Counted(range(1, size + 1)))
+    _refuse_permutations_past(monkeypatch, 100)
     gen = builtin_generator(GeneratorKind.HISTORY_DEPENDENT, n)
     column = random_value_column(50, 50, seeded(1024))
     start = time.perf_counter()
@@ -651,8 +661,9 @@ def test_history_column_at_the_largest_n_builds_only_the_members_it_uses(monkeyp
 
 
 def test_history_fixing_runs_keep_few_members():
-    """Runs of two history instructions over 1..128 visit 127 * 128 members;
-    the bounded member cache keeps the traced peak to a few of them."""
+    """Fixing runs of two history instructions over 1..128 need only the
+    127 prefixes and one closing member each; the traced peak stays a few
+    MiB."""
     gen = builtin_generator(GeneratorKind.HISTORY_DEPENDENT, 128)
     tracemalloc.start()
     try:
@@ -662,6 +673,75 @@ def test_history_fixing_runs_keep_few_members():
         tracemalloc.stop()
     assert len(runs) == oracle_recency_fixing_count(128, 2)
     assert peak < 8 * 2**20
+
+
+def test_history_fixing_runs_close_each_prefix_with_one_member(monkeypatch):
+    """At n = 256 the runs of two history instructions are built from the
+    identity, the 255 one-member prefixes and one closing member each, 511
+    permutations in all, where filtering all 255^2 candidate runs builds
+    65,281.  f_k after the identity is (1 k), and the only run it starts
+    that fixes 1 repeats it."""
+    n = 256
+    built = _refuse_permutations_past(monkeypatch, 511)
+    runs = enumerate_fixing_runs(builtin_generator(GeneratorKind.HISTORY_DEPENDENT, n), 2)
+    assert len(built) <= 511
+    swaps = []
+    for k in range(2, n + 1):
+        images = list(range(1, n + 1))
+        images[0], images[k - 1] = k, 1
+        swaps.append(tuple(images))
+    assert {tuple(sigma.images for sigma in run) for run in runs} == {(s, s) for s in swaps}
+    assert len(runs) == oracle_recency_fixing_count(n, 2) == 255
+
+
+def _oracle_fixing_runs(kind, n, length):
+    """Every run of `length` members of the whole-set builders, following the
+    identity, filtered by the composition oracle; runs as image tuples."""
+    runs = set()
+
+    def walk(kprime, run):
+        if len(run) == length:
+            if oracle_run_fixes_one(run):
+                runs.add(run)
+            return
+        for sigma in oracle_instruction_set(kind, n, kprime):
+            walk(sigma.images.index(1) + 1, run + (sigma.images,))
+
+    walk(1, ())
+    return runs
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", range(3, 7))
+def test_fixing_runs_equal_the_filtered_candidate_runs(kind, n):
+    """Closing each prefix with its one member finds exactly the runs that
+    filtering every candidate run finds, for lengths 1 to 4."""
+    gen = builtin_generator(kind, n)
+    for length in range(1, 5):
+        runs = {tuple(sigma.images for sigma in run) for run in enumerate_fixing_runs(gen, length)}
+        assert runs == _oracle_fixing_runs(kind, n, length), length
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_check_order_generator_reads_equal_copies_alike(kind):
+    """The instruction-side check keys each window by the instruction's
+    images, so a matrix of equal but distinct copies of each cell, alone or
+    mixed with the originals, gives the same report as the original."""
+    spec = make_graph_spec([(3, 3)])
+    gen = builtin_generator(kind, 3)
+    rng = seeded(517 + len(kind.value))
+    reports = []
+    for _ in range(20):
+        columns = [recover_instructions(random_value_column(3, spec.num_vertices, rng), gen) for _ in range(3)]
+        cells = list(zip(*columns))
+        copies = [tuple(Permutation(sigma.images) for sigma in row) for row in cells]
+        assert all(c is not s and c == s for row, twin in zip(cells, copies) for c, s in zip(twin, row))
+        mixed = [twin if i % 2 else row for i, (row, twin) in enumerate(zip(cells, copies))]
+        report = check_order_generator(make_order_generator(spec, cells, gen))
+        assert check_order_generator(make_order_generator(spec, copies, gen)) == report
+        assert check_order_generator(make_order_generator(spec, mixed, gen)) == report
+        reports.append(report)
+    assert any(reports)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -647,6 +647,43 @@ def test_reduced_walk_children_accept_the_golden(monkeypatch, golden_k34, k34_sp
     assert outcome.ordering == target  # and _finish found it valid
 
 
+def test_reduced_walk_checks_its_witness_without_assert(monkeypatch, golden_k34, k34_spec):
+    """Steered onto the bundled ordering, the reduced walk's FOUND outcome
+    goes through the same explicit witness check as the generic search's."""
+    path = [k34_spec.vertex_index(v) for v in _normalized_at_row_1(golden_k34).rows]
+
+    def replay(rows, n_total, first, step, pop, *budgets):
+        level = first
+        for w in path[2:]:
+            level = step(next(c for c in level if c[2] == w))
+        return SearchStatus.FOUND, len(path) - 2, len(rows), 0.0
+
+    monkeypatch.setattr(search, "_depth_first", replay)
+    monkeypatch.setattr(search, "is_valid_ordering", lambda ordering: False)
+    with pytest.raises(InvalidWitnessError, match=r"ordering of 3\^4$"):
+        search_k34_reduced()
+
+
+def test_every_witness_is_built_and_checked_in_finish():
+    """search.py builds an Ordering and raises InvalidWitnessError in one
+    place, _finish, so every search's witness takes the same path."""
+    with open(search.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    builds, raises = [], []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "Ordering":
+                    builds.append(owner)
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "InvalidWitnessError":
+                    raises.append(owner)
+    assert builds == ["_finish"]
+    assert raises == ["_finish"]
+
+
 def test_search_imports_no_instruction_layer():
     """The searches work on vertices alone; the instruction layer is only
     the tests' oracle for the reduced walk."""
