@@ -122,8 +122,8 @@ def boundary_structure_check(ordering: Ordering) -> list[BoundaryViolation]:
     j - 1 coordinates.  Raises NotAtBoundaryError when no factor qualifies.
     verify's window kernel gives, for each gap g up to the largest such n,
     the rows sharing g or more coordinates with the row g back and those
-    sharing g - 1 or more; the rows in the first mask or outside the second
-    are the violations, and only their shared coordinates are counted.
+    sharing g - 1 or more; it reports the rows in the first mask or outside
+    the second, the violations, each with its shared coordinates counted.
     Violations are sorted by their earlier row, then gap.
     """
     require_ordering(ordering)
@@ -137,11 +137,11 @@ def boundary_structure_check(ordering: Ordering) -> list[BoundaryViolation]:
         raise NotAtBoundaryError(
             "no factor sits at its forced-structure boundary; nothing to check"
         )
-    rows = ordering.rows
     return sorted(
-        BoundaryViolation(i - gap, gap, sum(map(eq, rows[i - 1], rows[i - 1 - gap])))
-        for gap, at_least, rows_in in _window_masks(ordering, max(boundary_sizes))
-        for i in rows_in(at_least[gap] | (at_least[0] & ~at_least[gap - 1]))
+        BoundaryViolation(i - gap, gap, shared)
+        for i, gap, shared in _window_masks(
+            ordering, max(boundary_sizes), lambda gap, m: m[gap] | (m[0] & ~m[gap - 1])
+        )
     )
 
 

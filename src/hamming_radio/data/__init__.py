@@ -11,10 +11,7 @@ GOLDEN_NAMES = ("k3_2", "k3_4")
 
 
 def golden_document(name: str) -> OrderingDocument:
-    if name not in GOLDEN_NAMES:
-        raise KeyError(f"unknown golden ordering {name!r}; have {GOLDEN_NAMES}")
-    text = resources.files(__package__).joinpath(f"{name}.txt").read_text(encoding="utf-8")
-    return parse_ordering_text(text)
+    return parse_ordering_text(golden_path(name).read_text(encoding="utf-8"))
 
 
 def golden_ordering(name: str) -> Ordering:
@@ -22,7 +19,7 @@ def golden_ordering(name: str) -> Ordering:
 
 
 def golden_path(name: str):
-    """Filesystem path of a bundled ordering (for CLI tests)."""
+    """Filesystem path of a bundled ordering; KeyError names the known ones."""
     if name not in GOLDEN_NAMES:
         raise KeyError(f"unknown golden ordering {name!r}; have {GOLDEN_NAMES}")
     return resources.files(__package__).joinpath(f"{name}.txt")

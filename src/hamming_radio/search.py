@@ -6,11 +6,12 @@ exhausted search is a proof that no consecutive radio labeling exists.  It
 applies the rule to all candidates at once as bitsets: per-column value
 masks, built in one pass over the candidate list, give each recent row the
 set of candidates sharing k or more coordinates with it, and a level's
-children are the bits left over.
+children are the bits left over.  It shares verify._at_least, the count
+behind the window kernel, but not the kernel's packed columns, as all
+candidates meet one row at once.
 A row's masks are computed once per search, in a memo of at most
 MASK_BIT_CAP bits that holds every position when N <= 322; apart from it
-only the last rows' masks are kept, so memory does not grow with depth, and
-all candidates meet a row at once, which verify's window kernel cannot do.
+only the last rows' masks are kept, so memory does not grow with depth.
 search_k34_reduced searches K_3^4 as a walk over step vectors in Z_3^4: each
 step is +-1 in every coordinate and negates one coordinate of the step
 before it, so a row is three choices at most and only repetition needs
@@ -33,7 +34,7 @@ from typing import Any
 
 from .errors import InvalidWitnessError, SpecError, TooLargeError
 from .graphs import GraphSpec, Vertex, enumerate_vertices, make_graph_spec, require_spec
-from .verify import Ordering, is_valid_ordering
+from .verify import Ordering, _at_least, _updates, is_valid_ordering
 
 MASK_BIT_CAP = 1 << 25  # most column-mask bits (N x summed sizes) search_ordering builds
 
@@ -168,25 +169,6 @@ def _column_masks(candidates: list[Vertex], sizes: tuple[int, ...]) -> list[list
     return masks
 
 
-def _at_least(
-    candidates: list[Vertex],
-    column_masks: list[list[int]],
-    updates: list[range],
-    everything: int,
-    pos: int,
-) -> list[int]:
-    """at_least[k] for 1 <= k < t: the candidates sharing k or more
-    coordinates with candidates[pos], where updates[j] lists the k that
-    column j raises, largest first.  at_least[0] is everything, and
-    at_least[t] stays 0 because a row t back constrains nothing."""
-    masks = [everything] + [0] * len(updates)
-    for by_value, value, ks in zip(column_masks, candidates[pos], updates):
-        same = by_value[value]
-        for k in ks:
-            masks[k] |= masks[k - 1] & same
-    return masks
-
-
 def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> SearchOutcome:
     """Depth-first search for a full valid ordering of the given graph.
 
@@ -234,8 +216,7 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
     t = spec.diameter
     column_masks = _column_masks(candidates, spec.column_sizes())
     everything = (1 << n_total) - 1
-    # the at_least[k] updated by column j: those with k <= j + 1, downwards
-    updates = [range(min(j + 1, t - 1), 0, -1) for j in range(t)]
+    updates = _updates(t, t - 1)  # at_least[t] stays 0: a row t back constrains nothing
 
     rows: list[int] = []  # positions in candidates
     window: deque[list[int]] = deque()  # at_least masks of the last rows, oldest first
@@ -244,9 +225,9 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
 
     # at_least(pos): the masks of candidates[pos], from the memo when it keeps
     # them; the memo hands out one shared list per position, so nothing mutates it
-    at_least = functools.lru_cache(maxsize=max(1, MASK_BIT_CAP // n_total**2))(
-        functools.partial(_at_least, candidates, column_masks, updates, everything)
-    )
+    @functools.lru_cache(maxsize=max(1, MASK_BIT_CAP // n_total**2))
+    def at_least(pos: int) -> list[int]:
+        return _at_least(everything, map(list.__getitem__, column_masks, candidates[pos]), updates)
 
     def refresh() -> None:
         nonlocal free

@@ -8,19 +8,21 @@ One kernel, _window_masks, compares all rows at one gap at a time: it packs
 each column into one int, a fixed-width field per row, and reads from an XOR
 of the column with itself shifted by the gap which rows agree with the row
 that far back, as in the shift-and string matching of Baeza-Yates and Gonnet
-(CACM 1992).  check_ordering and bounds.boundary_structure_check read its
-masks, and the greedy induced_labeling reads only check_ordering's window
-violations.  verify_radio works on labels instead, for any labeling, and
-reads only the pairs whose labels differ by less than t: every other pair
-meets the condition.
+(CACM 1992); its count, _at_least, is also the generic search's.
+check_ordering and bounds.boundary_structure_check pick the rows it hands
+back with their shared coordinates, and the greedy induced_labeling reads
+only check_ordering's window violations.  verify_radio works on labels instead,
+for any labeling, and reads only the pairs whose labels differ by less than
+t: every other pair meets the condition.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 from collections import Counter
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from operator import eq
 
@@ -135,22 +137,41 @@ def repetition_violations(rows: tuple[Vertex, ...]) -> list[RepetitionViolation]
 _FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-def _window_masks(ordering: Ordering, depth: int) -> Iterator[tuple[int, list[int], Callable]]:
-    """Yield (gap, at_least, rows_in) for each gap 1..min(depth, N - 1).
+@functools.cache
+def _updates(t: int, top: int) -> tuple[range, ...]:
+    """The counts k that each of t columns raises, largest first: column j
+    (0-based) raises every k <= min(j + 1, top)."""
+    return tuple(range(min(j + 1, top), 0, -1) for j in range(t))
+
+
+def _at_least(first: int, sames: Iterable[int], updates: tuple[range, ...]) -> list[int]:
+    """The one shared-coordinate count: at_least[k] holds the bits of first
+    set in k or more of the masks sames, one per column, for each k that
+    updates raises; at_least[0] is first and every other entry stays 0."""
+    at_least = [first] + [0] * len(updates)
+    for same, ks in zip(sames, updates):
+        for k in ks:
+            at_least[k] |= at_least[k - 1] & same
+    return at_least
+
+
+def _window_masks(ordering: Ordering, depth: int, pick: Callable) -> Iterator[tuple[int, int, int]]:
+    """Yield (row, gap, shared) for each gap 1..min(depth, N - 1) and each
+    row in pick(gap, at_least), in increasing row order within a gap.
 
     at_least[m], for m <= gap, is a mask of the rows i > gap sharing m or
-    more coordinates with row i - gap, and rows_in(mask) lists the 1-based
-    rows in a mask in increasing order.  Each column is packed with the
-    fewest of 8, 16, 32 or 64 bits per row that hold the largest column
-    size, one width for all columns so that their masks line up, and memory
-    is O(N t) fields whatever the sizes.  For each column,
+    more coordinates with row i - gap; pick combines them into the mask of
+    the rows to report, and only those rows have `shared`, their count of
+    coordinates shared with the row gap back, counted.  Each column is
+    packed with the fewest of 8, 16, 32 or 64 bits per row that hold the
+    largest column size, one width for all columns so that their masks line
+    up, and memory is O(N t) fields whatever the sizes.  For each column,
     the packed column XOR itself shifted by the gap has a zero field exactly
     where a row agrees with the row gap back; adding 0x7F..F to each field's
     low bits carries into its top bit unless the field is zero, so `same`,
     the rows that agree, costs a few whole-int operations.  The rows before
     the gap meet a shifted-in 0, never a value, so they agree nowhere.
-    Columns then raise the counts as in search._at_least:
-    at_least[m] |= at_least[m - 1] & same.
+    _at_least then counts the agreeing columns up to the gap.
     """
     rows = ordering.rows
     n = len(rows)
@@ -163,38 +184,25 @@ def _window_masks(ordering: Ordering, depth: int) -> Iterator[tuple[int, list[in
     layout = f"<{n}{_FIELD_CODES[width]}"
     columns = [int.from_bytes(struct.pack(layout, *column), "little") for column in zip(*rows)]
 
-    def rows_in(mask: int) -> list[int]:
-        if not mask:
-            return []
-        flags = mask.to_bytes(n * step, "little")[step - 1 :: step]  # 0x80 or 0 per row
-        out = []
-        i = flags.find(0x80)
-        while i >= 0:
-            out.append(i + 1)
-            i = flags.find(0x80, i + 1)
-        return out
-
     for gap in range(1, min(depth, n - 1) + 1):
         shift = gap * width
-        at_least = [high >> shift << shift] + [0] * gap
-        for j, column in enumerate(columns):
+        sames = []
+        for column in columns:
             moved = column ^ (column << shift)
-            same = high & ~(((moved & low) + low) | moved)
-            for m in range(min(j + 1, gap), 0, -1):
-                at_least[m] |= at_least[m - 1] & same
-        yield gap, at_least, rows_in
+            sames.append(high & ~(((moved & low) + low) | moved))
+        mask = pick(gap, _at_least(high >> shift << shift, sames, _updates(len(columns), gap)))
+        if mask:
+            flags = mask.to_bytes(n * step, "little")[step - 1 :: step]  # 0x80 or 0 per row
+            i = flags.find(0x80)
+            while i >= 0:
+                yield i + 1, gap, sum(map(eq, rows[i], rows[i - gap]))
+                i = flags.find(0x80, i + 1)
 
 
 def _window_violations(ordering: Ordering) -> list[tuple[int, int, int]]:
-    """(row, gap, shared) of every window violation, by row then gap; only the
-    rows the kernel flags have their shared coordinates counted."""
-    rows = ordering.rows
-    found = sorted(
-        (i, gap)
-        for gap, at_least, rows_in in _window_masks(ordering, ordering.spec.diameter - 1)
-        for i in rows_in(at_least[gap])
-    )
-    return [(i, gap, sum(map(eq, rows[i - 1], rows[i - 1 - gap]))) for i, gap in found]
+    """(row, gap, shared) of every window violation, by row then gap."""
+    depth = ordering.spec.diameter - 1
+    return sorted(_window_masks(ordering, depth, lambda gap, at_least: at_least[gap]))
 
 
 def check_ordering(ordering: Ordering) -> list:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from hamming_radio.data import GOLDEN_NAMES, golden_ordering, golden_path
+from hamming_radio.data import GOLDEN_NAMES, golden_document, golden_ordering, golden_path
 from hamming_radio.documents import (
     OrderingDocument,
     parse_instruction_rows,
@@ -66,6 +66,13 @@ def test_text_round_trip_is_byte_exact(name):
     doc = parse_ordering_text(raw)
     assert serialize_ordering_text(doc) == raw
     assert doc.to_ordering().rows == golden_ordering(name).rows
+
+
+@pytest.mark.parametrize("lookup", [golden_document, golden_ordering, golden_path])
+def test_unknown_golden_name_raises_key_error_naming_the_known_ones(lookup):
+    with pytest.raises(KeyError, match="unknown golden ordering 'k3_3'") as caught:
+        lookup("k3_3")
+    assert all(name in str(caught.value) for name in GOLDEN_NAMES)
 
 
 def test_json_round_trip(golden_k32):

@@ -21,13 +21,12 @@ from hamming_radio.instructions import (
 from hamming_radio.search import (
     SearchConfig,
     SearchStatus,
-    _at_least,
     _k34_moves,
     search_k34_reduced,
     search_ordering,
 )
 from hamming_radio.perms import Permutation
-from hamming_radio.verify import Ordering, check_ordering, is_valid_ordering, permute_column
+from hamming_radio.verify import Ordering, _at_least, check_ordering, is_valid_ordering, permute_column
 
 from . import oracles
 from .oracles import (
@@ -460,9 +459,10 @@ def test_masks_are_computed_once_per_position(monkeypatch):
     twice, however often a backtrack brings the row back into the window."""
     computed = []
 
-    def counting(candidates, column_masks, updates, everything, pos):
-        computed.append(pos)
-        return _at_least(candidates, column_masks, updates, everything, pos)
+    def counting(first, sames, updates):
+        sames = tuple(sames)  # one position's value masks, distinct for every position
+        computed.append(sames)
+        return _at_least(first, sames, updates)
 
     monkeypatch.setattr(search, "_at_least", counting)
     outcome = search_ordering(make_graph_spec([(4, 3)]), SearchConfig(node_budget=20_000))

@@ -1,8 +1,11 @@
+import ast
 import itertools
+import pathlib
 import tracemalloc
 
 import pytest
 
+import hamming_radio
 from hamming_radio.documents import parse_spec_string
 from hamming_radio.errors import RepetitionError, ShapeError, SpecError
 from hamming_radio.graphs import GraphSpec, enumerate_vertices, make_graph_spec, shared_coordinates
@@ -11,6 +14,8 @@ from hamming_radio.verify import (
     Ordering,
     RadioViolation,
     RepetitionViolation,
+    _at_least,
+    _updates,
     check_ordering,
     induced_labeling,
     is_consecutive,
@@ -56,6 +61,65 @@ def test_induced_labeling_on_valid_ordering_is_row_number(golden_k32, golden_k34
     for golden in (golden_k32, golden_k34):
         induced = induced_labeling(golden)
         assert induced.assignment == position_labeling(golden).assignment
+
+
+@pytest.mark.parametrize("t", range(1, 7))
+def test_shared_count_matches_brute_force(t):
+    """Bit b of _at_least(first, sames, updates)[k] is set exactly when b is
+    in first and in k or more of the t masks, for every k the ranges reach,
+    and every entry no column raises stays 0.  The ranges take both callers'
+    shapes: the search's _updates(t, t - 1), whose at_least[t] stays 0, and
+    the window kernel's _updates(t, gap) for every gap <= t."""
+    rng = seeded(300 + t)
+    bits = 12
+    for top in sorted({t - 1, *range(1, t + 1)}):
+        updates = _updates(t, top)
+        reach = min(t, top)  # the largest k any column raises
+        trials = [(rng.getrandbits(bits), [0] * t)]  # all-zero masks
+        for _ in range(60):
+            dense = rng.random()  # some trials put most bits in most masks
+            sames = [
+                0 if rng.random() < 0.1 else sum(1 << b for b in range(bits) if rng.random() < dense)
+                for _ in range(t)
+            ]
+            trials.append((rng.getrandbits(bits), sames))
+        for first, sames in trials:
+            got = _at_least(first, iter(sames), updates)
+            assert len(got) == t + 1
+            for k, mask in enumerate(got):
+                want = 0
+                if k <= reach:
+                    for b in range(bits):
+                        if first >> b & 1 and sum(same >> b & 1 for same in sames) >= k:
+                            want |= 1 << b
+                assert mask == want, (top, k, first, sames)
+
+
+def test_the_shared_count_is_written_once():
+    """The count `at_least[k] |= at_least[k - 1] & same` appears once in the
+    package, in verify._at_least, which the window kernel and the generic
+    search both call."""
+    found = []
+    package = pathlib.Path(hamming_radio.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitOr)):
+                    continue
+                value = node.value
+                if not (isinstance(value, ast.BinOp) and isinstance(value.op, ast.BitAnd)):
+                    continue
+                index = value.left.slice if isinstance(value.left, ast.Subscript) else None
+                if (
+                    isinstance(index, ast.BinOp)
+                    and isinstance(index.op, ast.Sub)
+                    and isinstance(index.right, ast.Constant)
+                    and index.right.value == 1
+                ):
+                    found.append((path.stem, owner))
+    assert found == [("verify", "_at_least")]
 
 
 def test_window_check_equals_all_pairs_check():
