@@ -13,8 +13,8 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import DocumentError, RadioGraphError
-from .graphs import GraphSpec, make_graph_spec
-from .instructions import GeneratorKind, InstructionGenerator, OrderGenerator, make_order_generator
+from .graphs import GraphSpec
+from .instructions import GeneratorKind, InstructionGenerator, OrderGenerator
 from .perms import Permutation, identity
 from .verify import Ordering
 
@@ -44,7 +44,7 @@ def parse_spec_string(text: str) -> GraphSpec:
         except ValueError:
             raise _too_long("spec") from None
     try:
-        return make_graph_spec(factors)
+        return GraphSpec(factors)
     except RadioGraphError as exc:
         raise DocumentError(str(exc)) from exc
 
@@ -115,7 +115,7 @@ def parse_ordering_json(text: str) -> OrderingDocument:
         ):
             raise DocumentError(f"bad spec entry: {raw_spec!r}")
         try:
-            spec = make_graph_spec([tuple(entry) for entry in raw_spec])
+            spec = GraphSpec([tuple(entry) for entry in raw_spec])
         except RadioGraphError as exc:
             raise DocumentError(f"bad spec entry: {raw_spec!r}") from exc
     raw_rows = obj["rows"]
@@ -195,6 +195,6 @@ def parse_instruction_rows(text: str, spec: GraphSpec, kind: GeneratorKind | str
             row.append(sigma)
         cells.append(tuple(row))
     try:
-        return make_order_generator(spec, cells, generators)
+        return OrderGenerator(spec, cells, generators)
     except RadioGraphError as exc:
         raise DocumentError(str(exc)) from exc

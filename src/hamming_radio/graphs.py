@@ -149,8 +149,7 @@ def require_spec(spec: object) -> None:
         raise SpecError(f"spec {spec!r} is not a GraphSpec")
 
 
-def make_graph_spec(factors: Iterable[tuple[int, int]]) -> GraphSpec:
-    return GraphSpec(tuple(factors))
+make_graph_spec = GraphSpec  # public name, kept for existing callers
 
 
 def distance(u: Vertex, v: Vertex) -> int:

@@ -40,7 +40,7 @@ from .errors import (
     ShapeError,
     UnsupportedSizeError,
 )
-from .graphs import GraphSpec, make_graph_spec, require_spec
+from .graphs import GraphSpec, require_spec
 from .perms import Permutation, identity, require_permutation
 from .verify import Ordering, RadioViolation, _unchecked, repetition_violations
 
@@ -91,7 +91,7 @@ class InstructionGenerator:
             raise MembershipError(f"previous instruction {previous!r} is not a Permutation")
         if previous.n != self.n:
             raise MembershipError("previous instruction permutes a different 1..n")
-        return _member(self.kind, self.n, previous.inverse()(1), k)
+        return _member(self.kind, self.n, previous.gather()[0] + 1, k)
 
     def sets(self, previous: Permutation) -> tuple[Permutation, ...]:
         """The set f_2..f_n offered after the instruction `previous`, in
@@ -124,9 +124,7 @@ def _member(kind: GeneratorKind, n: int, kprime: int, k: int) -> Permutation:
     return Permutation(images)
 
 
-def builtin_generator(kind: GeneratorKind | str, n: int) -> InstructionGenerator:
-    """One of the four built-in generator families over {1..n}, n >= 3."""
-    return InstructionGenerator(kind, n)
+builtin_generator = InstructionGenerator  # public name, kept for existing callers
 
 
 def _require_generator(gen: object) -> None:
@@ -275,7 +273,7 @@ def _refuse_past_cap(gen: InstructionGenerator, length: int, what: str) -> None:
     are counted as the (n-1)**length vertices of K_{n-1}^length, so no huge
     power is computed and a count past 30 digits is written as one, e.g. 2^20000."""
     if length > 0:
-        walks = make_graph_spec([(gen.n - 1, length)])
+        walks = GraphSpec([(gen.n - 1, length)])
         if walks.has_more_vertices_than(ENUMERATION_CAP):
             raise BudgetExceededError(
                 f"{walks.num_vertices_text} {what} exceed the cap of {ENUMERATION_CAP}"
@@ -331,27 +329,25 @@ def subscript_string(run: Iterable[Permutation]) -> str:
     names = []
     for sigma in run:
         require_permutation(sigma)
-        names.append(f"f{sigma.inverse()(1)}")
+        names.append(f"f{sigma.gather()[0] + 1}")
     return " ".join(names)
 
 
 @dataclass(frozen=True)
 class OrderGenerator:
-    """An N x t matrix of instructions, one column per graph column, plus the
-    generator family each column draws from.  It is decoded and checked once,
-    when built: build_column's errors raise here, and `ordering` keeps the result."""
+    """An N x t matrix of instructions, one column per graph column, plus each
+    column's generator family (one generator alone serves every column).  It is
+    decoded and checked once, when built: build_column's errors raise here."""
 
     spec: GraphSpec
     cells: tuple[tuple[Permutation, ...], ...]
     generators: tuple[InstructionGenerator, ...]
-    ordering: Ordering = field(init=False, repr=False, compare=False)
+    ordering: Ordering = field(init=False, repr=False, compare=False)  # the decoded matrix
 
     def __post_init__(self) -> None:
         require_spec(self.spec)
         cells = tuple(tuple(row) for row in self.cells)
         object.__setattr__(self, "cells", cells)
-        gens = tuple(self.generators)
-        object.__setattr__(self, "generators", gens)
         t, n = self.spec.diameter, len(cells)
         if not self.spec.has_vertex_count(n):
             raise ShapeError(
@@ -360,6 +356,9 @@ class OrderGenerator:
         for row in cells:
             if len(row) != t:
                 raise ShapeError(f"each instruction row needs {t} entries, got {len(row)}")
+        gens = self.generators
+        gens = (gens,) * t if isinstance(gens, InstructionGenerator) else tuple(gens)
+        object.__setattr__(self, "generators", gens)
         if len(gens) != t:
             raise ShapeError(f"need one generator per column ({t}), got {len(gens)}")
         for col, gen in enumerate(gens, start=1):
@@ -376,15 +375,7 @@ class OrderGenerator:
         object.__setattr__(self, "ordering", ordering)
 
 
-def make_order_generator(
-    spec: GraphSpec,
-    cells: Iterable[Iterable[Permutation]],
-    generators: InstructionGenerator | Iterable[InstructionGenerator],
-) -> OrderGenerator:
-    require_spec(spec)
-    if isinstance(generators, InstructionGenerator):
-        generators = (generators,) * spec.diameter
-    return OrderGenerator(spec, cells, generators)
+make_order_generator = OrderGenerator  # public name, kept for existing callers
 
 
 def _require_order_generator(og: object) -> None:

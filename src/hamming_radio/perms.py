@@ -4,33 +4,38 @@ Throughout the package a product written compose(a, b) means "apply a, then b",
 i.e. the function b o a.  Permutations act on arrangements (tuples of n distinct
 values) by position: the value landing in slot p is the one previously in slot
 inverse(p).  Each permutation builds its gather, the 0-based slots inverse(p) - 1
-that the action reads, once and keeps it, so acting is one tuple built by index
+that the action reads, when it is made, so acting is one tuple built by index
 lookups; the instruction layer's decode and encode loops read it directly.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .errors import ShapeError
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Permutation:
-    """Bijection of {1..n}, stored in one-line notation (images[i-1] = image of i)."""
+    """Bijection of {1..n}, stored in one-line notation (images[i-1] = image of i),
+    with its gather, built in the same pass that checks the images."""
 
-    __slots__ = ("images", "_inv", "_gather")
+    images: tuple[int, ...]
+    _gather: tuple[int, ...] = field(init=False, compare=False)
 
-    def __init__(self, images):
-        images = tuple(images)
+    def __post_init__(self) -> None:
+        images = tuple(self.images)
         for x in images:
             if type(x) is not int:  # not bool, not 1.9, not '2'
                 raise ShapeError(f"permutation entry {x!r} is not an integer")
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ShapeError(f"not a permutation of 1..{len(images)}: {images}")
+        n = len(images)
+        gather = [-1] * n
+        for i, image in enumerate(images):
+            if not 1 <= image <= n or gather[image - 1] >= 0:
+                raise ShapeError(f"not a permutation of 1..{n}: {images}")
+            gather[image - 1] = i
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_inv", None)
-        object.__setattr__(self, "_gather", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
+        object.__setattr__(self, "_gather", tuple(gather))
 
     @property
     def n(self) -> int:
@@ -44,23 +49,12 @@ class Permutation:
         return self.images[point - 1]
 
     def inverse(self) -> "Permutation":
-        inv = self._inv
-        if inv is None:
-            out = [0] * self.n
-            for i, image in enumerate(self.images, start=1):
-                out[image - 1] = i
-            inv = Permutation(out)
-            object.__setattr__(self, "_inv", inv)
-        return inv
+        return Permutation(i + 1 for i in self._gather)
 
     def gather(self) -> tuple[int, ...]:
         """The 0-based slots act reads from: slot p of the result takes the
-        value in slot gather()[p - 1] = inverse(p) - 1.  Built once."""
-        gather = self._gather
-        if gather is None:
-            gather = tuple(i - 1 for i in self.inverse().images)
-            object.__setattr__(self, "_gather", gather)
-        return gather
+        value in slot gather()[p - 1] = inverse(p) - 1."""
+        return self._gather
 
     def is_identity(self) -> bool:
         return all(image == i for i, image in enumerate(self.images, start=1))
@@ -95,7 +89,7 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
 
 def act(sigma: Permutation, arrangement: tuple) -> tuple:
     """Rearrange a tuple: slot p of the result takes the value from slot
-    inverse(p), read through sigma's cached gather."""
+    inverse(p), read through sigma's gather."""
     require_permutation(sigma)
     if len(arrangement) != sigma.n:
         raise ShapeError(

@@ -33,7 +33,7 @@ from operator import itemgetter
 from typing import Any
 
 from .errors import InvalidWitnessError, SpecError, TooLargeError
-from .graphs import GraphSpec, Vertex, enumerate_vertices, make_graph_spec, require_spec
+from .graphs import GraphSpec, Vertex, enumerate_vertices, require_spec
 from .verify import Ordering, _at_least, _updates, is_valid_ordering
 
 MASK_BIT_CAP = 1 << 25  # most column-mask bits (N x summed sizes) search_ordering builds
@@ -273,7 +273,7 @@ def search_ordering(spec: GraphSpec, config: SearchConfig | None = None) -> Sear
     return _finish(spec, map(candidates.__getitem__, rows), *outcome)
 
 
-_K34 = make_graph_spec([(3, 4)])
+_K34 = GraphSpec([(3, 4)])
 
 
 @functools.cache

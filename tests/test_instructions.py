@@ -543,14 +543,12 @@ def test_order_generator_validation():
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_golden_ordering_decodes_as_order_generator(golden_k34, kind, monkeypatch):
-    """Dual route on the reference data: recover each column's instructions,
-    rebuild the ordering, and check the matrix on the instruction side.  The
-    matrix is decoded once, when it is built, and never again."""
+def test_golden_ordering_decodes_as_order_generator(golden_k34, k34_finds, kind, monkeypatch):
+    """Dual route on the reference data and the three two-ended finds: recover
+    each column's instructions, rebuild the ordering, and check the matrix on
+    the instruction side.  The matrix is decoded once, when it is built, and
+    never again."""
     gen = builtin_generator(kind, 3)
-    columns = list(zip(*golden_k34.rows))
-    cells_by_column = [recover_instructions(col, gen) for col in columns]
-    cells = list(zip(*cells_by_column))
     calls = []
     real = instructions.build_column
 
@@ -559,14 +557,37 @@ def test_golden_ordering_decodes_as_order_generator(golden_k34, kind, monkeypatc
         return real(column, generator)
 
     monkeypatch.setattr(instructions, "build_column", counting)
-    og = make_order_generator(golden_k34.spec, cells, gen)
-    assert materialize(og).rows == golden_k34.rows
-    assert check_order_generator(og) == []
-    assert len(calls) == golden_k34.spec.diameter
-    assert materialize(og) is materialize(og)
-    twin = make_order_generator(golden_k34.spec, cells, gen)
-    assert twin == og and hash(twin) == hash(og)
-    assert "ordering" not in repr(og)
+    for golden in (golden_k34, *k34_finds):
+        columns = list(zip(*golden.rows))
+        cells_by_column = [recover_instructions(col, gen) for col in columns]
+        cells = list(zip(*cells_by_column))
+        calls.clear()
+        og = make_order_generator(golden.spec, cells, gen)
+        assert materialize(og).rows == golden.rows
+        assert check_order_generator(og) == []
+        assert len(calls) == golden.spec.diameter
+        assert materialize(og) is materialize(og)
+        twin = make_order_generator(golden.spec, cells, gen)
+        assert twin == og and hash(twin) == hash(og)
+        assert "ordering" not in repr(og)
+
+
+def test_order_generator_takes_one_generator_or_one_per_column(golden_k32):
+    """One generator, a tuple of t and a lazy iterable of t build equal
+    matrices; the helper names are the classes, so they accept the same."""
+    assert make_order_generator is OrderGenerator
+    assert builtin_generator is InstructionGenerator
+    assert make_graph_spec is GraphSpec
+    spec, t = golden_k32.spec, golden_k32.spec.diameter
+    cells = list(zip(*(recover_instructions(col, LRU3) for col in zip(*golden_k32.rows))))
+    built = [
+        OrderGenerator(spec, cells, LRU3),
+        OrderGenerator(spec, cells, (LRU3,) * t),
+        OrderGenerator(spec, iter(cells), (LRU3 for _ in range(t))),
+    ]
+    for og in built:
+        assert og == built[0] and og.generators == (LRU3,) * t
+        assert og.ordering == golden_k32
 
 
 def test_check_order_generator_matches_ordering_check():

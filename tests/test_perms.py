@@ -20,6 +20,15 @@ def test_construction_and_validation():
         Permutation([1, 1, 2])
     with pytest.raises(ShapeError):
         Permutation([0, 1, 2])
+    # the bijection check builds the gather in the same pass; types come first
+    for images, message in [
+        ([1, 1, 2], "not a permutation of 1..3: (1, 1, 2)"),
+        ([1, 2, 4], "not a permutation of 1..3: (1, 2, 4)"),
+        ([5, "a"], "permutation entry 'a' is not an integer"),
+    ]:
+        with pytest.raises(ShapeError) as err:
+            Permutation(images)
+        assert str(err.value) == message
     with pytest.raises(ShapeError):
         p(0)
     with pytest.raises(ShapeError):
@@ -60,6 +69,11 @@ def test_immutability_and_equality():
     p = Permutation([2, 1])
     with pytest.raises(AttributeError):
         p.images = (1, 2)
+    for name in ("images", "_gather"):
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p.images == (2, 1) and p.gather() == (1, 0)
+    assert act(p, ("a", "b")) == ("b", "a")
     assert p == Permutation([2, 1])
     assert p != identity(2)
     assert hash(p) == hash(Permutation([2, 1]))
@@ -111,18 +125,26 @@ def test_act_definition_and_functoriality():
 
 
 def test_act_builds_each_gather_once(monkeypatch):
+    """The gather is built with the permutation, so acting inverts nothing
+    and builds no permutation."""
+    sigma = Permutation([2, 3, 1])
     calls = []
-    inverse = Permutation.inverse
+    inverse, post_init = Permutation.inverse, Permutation.__post_init__
 
     def counting_inverse(self):
-        calls.append(self)
+        calls.append(("inverse", self))
         return inverse(self)
 
+    def counting_post_init(self):
+        calls.append(("built", self))
+        post_init(self)
+
     monkeypatch.setattr(Permutation, "inverse", counting_inverse)
-    sigma = Permutation([2, 3, 1])
+    monkeypatch.setattr(Permutation, "__post_init__", counting_post_init)
     for _ in range(5):
         assert act(sigma, ("a", "b", "c")) == ("c", "a", "b")
-    assert calls == [sigma]
+    assert calls == []
+    assert sigma.gather() is sigma.gather() == (2, 0, 1)
 
 
 def test_cached_gather_keeps_permutations_immutable_and_equal():
@@ -132,7 +154,7 @@ def test_cached_gather_keeps_permutations_immutable_and_equal():
         setattr(cached, "_gather", (0, 1, 2))
     with pytest.raises(AttributeError):
         setattr(fresh, "images", (1, 2, 3))
-    assert cached.gather() == (1, 2, 0) and fresh._gather is None
+    assert cached.gather() == (1, 2, 0) and fresh.gather() == cached.gather()
     assert cached == fresh and fresh == cached
     assert hash(cached) == hash(fresh)
     assert repr(cached) == repr(fresh) == "Permutation([3, 1, 2])"

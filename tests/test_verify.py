@@ -48,8 +48,8 @@ def test_ordering_shape_validation(k32_spec):
         Ordering(make_graph_spec([(2, 2)]), ((1, 1), (2, 2), (1.5, 1.5), (1, 2)))
 
 
-def test_goldens_are_clean(golden_k32, golden_k34):
-    for golden in (golden_k32, golden_k34):
+def test_goldens_are_clean(golden_k32, golden_k34, k34_finds):
+    for golden in (golden_k32, golden_k34, *k34_finds):
         assert check_ordering(golden) == []
         assert is_valid_ordering(golden)
         labeling = position_labeling(golden)
