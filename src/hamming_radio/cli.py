@@ -92,7 +92,7 @@ def main() -> None:
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def verify(path: str, boundary: bool, show_labeling: bool, fmt: str) -> None:
     """Check that an ordering file induces a consecutive radio labeling."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
         ordering = parse_ordering_document(fh.read()).to_ordering()
     violations = check_ordering(ordering)
     boundary_violations = boundary_structure_check(ordering) if boundary else []
@@ -248,7 +248,7 @@ def search(
 def generate(spec_string: str, instructions_path: str, kind: str, out_path: str | None, fmt: str) -> None:
     """Decode an instruction matrix into an ordering and validate it."""
     spec = parse_spec_string(spec_string)
-    with open(instructions_path, encoding="utf-8") as fh:
+    with open(instructions_path, encoding="utf-8-sig") as fh:
         og = parse_instruction_rows(fh.read(), spec, kind)
     ordering = materialize(og)
     violations = check_ordering(ordering)

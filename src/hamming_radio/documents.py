@@ -11,6 +11,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import DocumentError, RadioGraphError
 from .graphs import GraphSpec
@@ -23,6 +24,9 @@ from .verify import Ordering
 # around "^" and the "x" separators, so "3 4" is not read as 34.
 _FACTOR_RE = re.compile(r"([0-9]+)(?:\s*\^\s*([0-9]+))?")
 _ROW_RE = re.compile(r"[0-9]+(?:\s+[0-9]+)*", re.ASCII)
+# A stripped line holds no line break, so it matches _ROW_RE exactly when it
+# holds only digits, spaces and tabs: one match checks the whole body.
+_BODY_RE = re.compile(r"[0-9 \t\n]*")
 
 
 def _too_long(where: str) -> DocumentError:
@@ -67,13 +71,18 @@ class OrderingDocument:
 
 
 def parse_ordering_text(text: str) -> OrderingDocument:
-    lines = [line.strip() for line in text.splitlines()]
-    lines = [line for line in lines if line]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines or not lines[0].lower().startswith("spec:"):
         raise DocumentError("first line must be 'spec: <factors>'")
     spec = parse_spec_string(lines[0].split(":", 1)[1])
+    body = lines[1:]
+    try:
+        if _BODY_RE.fullmatch("\n".join(body)):
+            return OrderingDocument(spec, tuple([tuple(map(int, line.split())) for line in body]))
+    except ValueError:  # a number int() refuses: the loop below names its line
+        pass
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(body, start=2):
         if not _ROW_RE.fullmatch(line):
             raise DocumentError(f"line {lineno}: expected integers, got {line!r}")
         try:
@@ -119,9 +128,13 @@ def parse_ordering_json(text: str) -> OrderingDocument:
         except RadioGraphError as exc:
             raise DocumentError(f"bad spec entry: {raw_spec!r}") from exc
     raw_rows = obj["rows"]
-    if not isinstance(raw_rows, list) or not all(_is_int_list(row) for row in raw_rows):
+    if (
+        not isinstance(raw_rows, list)
+        or not set(map(type, raw_rows)) <= {list}
+        or not set(map(type, chain.from_iterable(raw_rows))) <= {int}
+    ):
         raise DocumentError("rows must be lists of integers")
-    rows = tuple(tuple(row) for row in raw_rows)
+    rows = tuple(map(tuple, raw_rows))
     metadata = obj.get("metadata")
     if metadata is None:
         metadata = {}

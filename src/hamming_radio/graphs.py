@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Iterator
 
 from .errors import ShapeError, SpecError
@@ -163,7 +164,7 @@ def shared_coordinates(u: Vertex, v: Vertex) -> int:
     """Number of coordinates where u and v agree (diameter minus distance)."""
     if len(u) != len(v):
         raise ShapeError(f"vertices have different lengths: {len(u)} vs {len(v)}")
-    return sum(a == b for a, b in zip(u, v))
+    return sum(map(eq, u, v))
 
 
 def enumerate_vertices(spec: GraphSpec) -> Iterator[Vertex]:

@@ -13,7 +13,10 @@ check_ordering and bounds.boundary_structure_check pick the rows it hands
 back with their shared coordinates, and the greedy induced_labeling reads
 only check_ordering's window violations.  verify_radio works on labels instead,
 for any labeling, and reads only the pairs whose labels differ by less than
-t: every other pair meets the condition.
+t: every other pair meets the condition.  It counts each pair it reads with
+shared_coordinates, one C-level pass over the two rows.  Ordering and Labeling
+accept their rows in one pass over the columns; rows that pass refuses go
+through GraphSpec.validate_vertex one by one, which names the first fault.
 """
 
 from __future__ import annotations
@@ -31,10 +34,29 @@ from .graphs import GraphSpec, Vertex, require_spec, shared_coordinates
 from .perms import Permutation, require_permutation
 
 
+def _vertices(spec: GraphSpec, rows: Iterable) -> Iterable[Vertex]:
+    """The rows as vertices of spec.  One bulk pass accepts them all when
+    every row is a tuple or list of t coordinates and each column holds only
+    ints (not bool) in 1..its size; otherwise spec.validate_vertex is mapped
+    over the rows lazily, so the first fault in row-major order raises its
+    usual ShapeError when the caller reaches that row."""
+    rows = tuple(rows)
+    if set(map(type, rows)) <= {tuple, list}:
+        rows = tuple(map(tuple, rows))
+        if set(map(len, rows)) <= {spec.diameter} and all(
+            set(map(type, column)) == {int} and min(column) >= 1 and max(column) <= size
+            for column, size in zip(zip(*rows), spec.column_sizes())
+        ):
+            return rows
+    return map(spec.validate_vertex, rows)
+
+
 @dataclass(frozen=True)
 class Ordering:
     """A list of exactly N rows, each a valid vertex.  Rows may repeat; the
-    checks below report repetition rather than refusing to represent it."""
+    checks below report repetition rather than refusing to represent it.
+    One bulk pass over the columns accepts valid rows; rows it refuses go
+    through GraphSpec.validate_vertex in order, which names the first fault."""
 
     spec: GraphSpec
     rows: tuple[Vertex, ...]
@@ -44,7 +66,7 @@ class Ordering:
         n = len(self.rows)
         if not self.spec.has_vertex_count(n):
             raise ShapeError(f"ordering has {n} rows, spec needs {self.spec.num_vertices_text}")
-        object.__setattr__(self, "rows", tuple(self.spec.validate_vertex(r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(_vertices(self.spec, self.rows)))
 
 
 def require_ordering(ordering: object) -> None:
@@ -54,7 +76,9 @@ def require_ordering(ordering: object) -> None:
 
 @dataclass(frozen=True)
 class Labeling:
-    """Assignment of positive integer labels to vertices."""
+    """Assignment of positive integer labels to vertices.  The vertices are
+    accepted as Ordering's rows are; a fault, in a vertex or a label, is
+    named for the first item that has one."""
 
     spec: GraphSpec
     assignment: dict[Vertex, int]
@@ -64,8 +88,7 @@ class Labeling:
         if not isinstance(self.assignment, Mapping):
             raise ShapeError(f"assignment {self.assignment!r} is not a mapping of vertices to labels")
         clean = {}
-        for v, label in self.assignment.items():
-            v = self.spec.validate_vertex(v)
+        for v, label in zip(_vertices(self.spec, self.assignment), self.assignment.values()):
             if type(label) is not int or label < 1:  # not bool, not a float such as 1.9
                 raise ShapeError(f"label {label!r} for {v} is not a positive integer")
             clean[v] = label
@@ -277,24 +300,27 @@ def verify_radio(labeling: Labeling) -> list[RadioViolation]:
     labelings that are not consecutive and stays apart from _window_masks
     as its cross-check.  With the items sorted by label, it compares each
     item only with the later ones whose label exceeds its own by less than
-    the diameter t.  That is exact: distinct vertices share at most t - 1
-    coordinates, so a label gap of t or more always meets the condition.
-    Equal labels (gap 0) are always compared.  Violations are reported
-    against the larger label: gap = label difference, shared = shared
-    coordinate count.
+    the diameter t, stopping at the first later label t or more above it.
+    That is exact: distinct vertices share at most t - 1 coordinates, so a
+    label gap of t or more always meets the condition.  Equal labels (gap 0)
+    are always compared.  Each pair read is counted by shared_coordinates, a
+    map of operator.eq over the two rows.  Violations are reported against
+    the larger label: gap = label difference, shared = shared coordinate
+    count.
     """
     require_labeling(labeling)
     items = sorted(labeling.assignment.items(), key=lambda kv: kv[1])
+    n = len(items)
     t = labeling.spec.diameter
     out: list[RadioViolation] = []
     for i, (u, fu) in enumerate(items):
-        j = i + 1
-        while j < len(items) and items[j][1] - fu < t:
+        for j in range(i + 1, n):
             v, fv = items[j]
+            if fv - fu >= t:
+                break
             shared = shared_coordinates(u, v)
             if fv - fu < shared + 1:
                 out.append(RadioViolation(row=fv, gap=fv - fu, shared=shared))
-            j += 1
     return out
 
 

@@ -10,8 +10,14 @@ from click.testing import CliRunner
 from hamming_radio import cli, errors
 from hamming_radio.cli import main
 from hamming_radio.data import golden_path
-from hamming_radio.documents import parse_ordering_text
+from hamming_radio.documents import (
+    OrderingDocument,
+    parse_ordering_text,
+    serialize_ordering_json,
+    serialize_ordering_text,
+)
 from hamming_radio.graphs import GraphSpec
+from hamming_radio.instructions import builtin_generator
 from hamming_radio.verify import check_ordering
 
 from .test_documents import instruction_text_for
@@ -301,6 +307,36 @@ def test_generate_non_utf8_is_an_input_error(runner, tmp_path):
     result = invoke(runner, "generate", "3^1", str(matrix))
     assert result.exit_code == 2
     assert result.stderr.startswith("error:")
+
+
+def _bom_twins(tmp_path, name, text):
+    """A file holding text, and its twin that starts with a UTF-8 byte-order mark."""
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    return str(plain), str(marked)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_reads_past_a_byte_order_mark(runner, tmp_path, golden_k32, fmt):
+    # the mark used to make a text file's first line, and a JSON file's brace, unreadable
+    doc = OrderingDocument.from_ordering(golden_k32)
+    text = serialize_ordering_json(doc) if fmt == "json" else serialize_ordering_text(doc)
+    plain, marked = _bom_twins(tmp_path, f"k32.{fmt}", text)
+    expected = invoke(runner, "verify", plain)
+    result = invoke(runner, "verify", marked)
+    assert result.exit_code == expected.exit_code == 0, result.output
+    assert result.output == expected.output
+
+
+def test_generate_reads_past_a_byte_order_mark(runner, tmp_path, golden_k34):
+    text = instruction_text_for(golden_k34, builtin_generator("lru", 3))
+    plain, marked = _bom_twins(tmp_path, "instructions.txt", text)
+    expected = invoke(runner, "generate", "3^4", plain)
+    result = invoke(runner, "generate", "3^4", marked)
+    assert result.exit_code == expected.exit_code == 0, result.stderr
+    assert (result.stdout, result.stderr) == (expected.stdout, expected.stderr)
 
 
 # 3^99999 has 47,712 decimal digits, past the 4,300 that str() will print, so

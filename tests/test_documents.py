@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -109,11 +110,21 @@ def test_json_accepts_spec_string(golden_k32):
         json.dumps({"spec": [[3.7, 1.2]], "rows": [[1], [2], [3]]}),
         json.dumps({"spec": [[3, True]], "rows": [[1], [2], [3]]}),
         json.dumps({"spec": ["31"], "rows": [[1], [2], [3]]}),
+        json.dumps({"spec": "3^1", "rows": [[1], [2], [True]]}),
+        json.dumps({"spec": "3^1", "rows": [[1], [2], [1.5]]}),
+        json.dumps({"spec": "3^1", "rows": [[1], [2], [[3]]]}),
     ],
 )
 def test_json_parse_errors(payload):
     with pytest.raises(DocumentError):
         parse_ordering_json(payload)
+
+
+@pytest.mark.parametrize("last", ["[true]", "[1.5]", "[[3]]", "3", "[3, null]"])
+def test_json_row_faults_keep_their_message(last):
+    with pytest.raises(DocumentError) as err:
+        parse_ordering_json('{"spec": "3^1", "rows": [[1], [2], %s]}' % last)
+    assert str(err.value) == "rows must be lists of integers"
 
 
 def test_json_spec_the_graph_model_refuses_is_a_bad_spec_entry():
@@ -134,6 +145,25 @@ def test_text_parse_errors():
         parse_ordering_text("1 1\n2 2\n")
     with pytest.raises(DocumentError):
         parse_ordering_text("spec: 3^2\n1 one\n")
+    with pytest.raises(DocumentError):
+        parse_ordering_text("spec: 3^1\n1\n2\n3 x\n")
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("1\n2\n3 x\n", "line 4: expected integers, got '3 x'"),
+        ("1\n\n 2 \n3.0\n", "line 4: expected integers, got '3.0'"),
+        ("1\n2 x\n3{huge}\n", "line 3: expected integers, got '2 x'"),
+        ("1\n3{huge}\n2 x\n", "line 3: a number has more than {limit} digits"),
+    ],
+)
+def test_text_faults_name_their_line(body, message):
+    """Blank lines are dropped before the count, and the first fault wins."""
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(DocumentError) as err:
+        parse_ordering_text("spec: 3^1\n" + body.replace("{huge}", "9" * limit))
+    assert str(err.value) == message.format(limit=limit)
 
 
 @pytest.mark.parametrize("row", ["+1", "-1", "1_0", "\uff13", "1\u30002", "\u00b2"])

@@ -300,6 +300,66 @@ def test_labeling_validation_and_consecutive(k32_spec):
     assert not is_consecutive(partial)
 
 
+def _raised(call):
+    """(type, message) of what call raises, or None when it returns."""
+    try:
+        call()
+    except (ShapeError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _labeling_per_item(spec, assignment):
+    """Labeling's validation item by item, as it ran before its bulk pass."""
+    for v, label in assignment.items():
+        v = spec.validate_vertex(v)
+        if type(label) is not int or label < 1:
+            raise ShapeError(f"label {label!r} for {v} is not a positive integer")
+
+
+def _corrupt(row, size, rng):
+    """row with one fault: a wrong length, a non-row, or one bad coordinate."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return row[:-1] if rng.random() < 0.5 else row + (1,)
+    if kind == 1:
+        return 5  # not iterable
+    col = rng.randrange(len(row))
+    bad = rng.choice([True, 1.0, "2", 0, size[col] + 1])
+    return row[:col] + (bad,) + row[col + 1 :]
+
+
+@pytest.mark.parametrize("spec_text", ["3^2", "2x3", "2x3^2", "3x4^2"])
+def test_bulk_row_checks_name_the_per_item_fault(spec_text):
+    """Ordering and Labeling accept rows in one bulk pass; whatever it
+    refuses, they raise exactly what the per-row validator raises first."""
+    spec = parse_spec_string(spec_text)
+    sizes = spec.column_sizes()
+    rng = seeded(3100 + len(spec_text))
+    for trial in range(60):
+        rows = list(random_permutation_rows(spec, rng))
+        for i in rng.sample(range(len(rows)), rng.choice([0, 1, 2])):
+            rows[i] = _corrupt(rows[i], sizes, rng)
+        if trial == 0:  # a True in a column that also holds 1 elsewhere
+            col = next(c for c in range(len(sizes)) if any(r[c] == 1 for r in rows[1:]))
+            rows[0] = rows[0][:col] + (True,) + rows[0][col + 1 :]
+        if rng.random() < 0.5:
+            rows = [list(r) if isinstance(r, tuple) else r for r in rows]
+        expected = _raised(lambda: [spec.validate_vertex(r) for r in rows])
+        assert _raised(lambda: Ordering(spec, rows)) == expected
+        if expected is None:
+            assert Ordering(spec, rows).rows == tuple(map(spec.validate_vertex, rows))
+        keys = [tuple(r) if isinstance(r, list) else r for r in rows]
+        labels = list(range(1, len(keys) + 1))
+        for i in rng.sample(range(len(labels)), rng.choice([0, 0, 1])):
+            labels[i] = rng.choice([0, True, 2.0])
+        assignment = dict(zip(keys, labels))
+        expected = _raised(lambda: _labeling_per_item(spec, assignment))
+        assert _raised(lambda: Labeling(spec, assignment)) == expected
+        if expected is None:
+            assert Labeling(spec, assignment).assignment == assignment
+
+
 @pytest.mark.parametrize("make", [Ordering, Labeling], ids=["ordering", "labeling"])
 def test_spec_must_be_a_graph_spec(make):
     # a spec string used to be stored as given: AttributeError on first use
