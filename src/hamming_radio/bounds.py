@@ -8,7 +8,8 @@ n(n^2 - 1)/6 columns the ordering is forced into a rigid shared-coordinate
 pattern, and short exhaustive searches over canonical row segments can finish
 the argument for specific graphs.  That search carries each column's top value
 and tie flag down the rows, so no level's setup grows with column size or with
-the number of rows placed.
+the number of rows placed, and builds each level's rows in one generator that
+walks the columns with a cursor.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import eq
+from itertools import accumulate, repeat
+from operator import and_, eq
 
 from .errors import NotAtBoundaryError, ShapeError, SpecError, TooLargeError
 from .graphs import GraphSpec, Vertex, require_spec
@@ -153,6 +155,11 @@ class SegmentSearchResult:
     (witness holds one).  Otherwise dead_depth d records that no canonical
     segment reaches row offset d: every valid ordering would need one, so the
     graph has no consecutive radio labeling.
+
+    Only the dead outcome proves anything.  An extensible witness may repeat
+    vertices, since rows t or more apart are unconstrained (with t = 1 every
+    row is): 5 at depth 3 gives (1,), (2,), (1,), (1,), and 3^2 at depth 4
+    gives (1, 1), (2, 2), (1, 1), (2, 2), (1, 1).
     """
 
     extensible: bool
@@ -170,14 +177,11 @@ def _share_need(sizes, tops, recent) -> list[int]:
     is below its size, or above len(recent), offers a value no recent row
     holds (its top, or one left over as each row holds one), so it adds 0.
     """
-    need = [0]
-    for col in range(len(tops) - 1, -1, -1):
-        fewest = 0
-        if tops[col] == sizes[col] <= len(recent):
-            held = [prev[col] for prev in recent]
-            fewest = min(map(held.count, range(1, sizes[col] + 1)))
-        need.append(need[-1] + fewest)
-    return need[::-1]
+    fewest = [
+        min(map(held.count, range(1, size + 1))) if top == size <= len(recent) else 0
+        for size, top, held in zip(sizes, tops, zip(*recent) if recent else repeat(()))
+    ]
+    return [*accumulate(reversed(fewest), initial=0)][::-1]
 
 
 def _empty_state(sizes):
@@ -195,7 +199,7 @@ def _carry(sizes, state, row):
     tops, tied = state
     return (
         tuple(top + (v == top < size) for top, v, size in zip(tops, row, sizes)),
-        (False, *(tie and v == w for tie, v, w in zip(tied[1:], row[1:], row))),
+        (False, *map(and_, tied[1:], map(eq, row[1:], row))),
     )
 
 
@@ -207,6 +211,12 @@ def _candidate_rows(sizes, tops, tied, recent):
     columns).  Column col takes a value in 1..tops[col], a tied column none
     below its left neighbour's (_carry).  A column-by-column DFS prunes a row
     that shares too much before it is whole, so verify's kernel cannot serve.
+    It is one loop with a cursor over the columns: per column it keeps the
+    value held now, the recent rows whose share that value took and the
+    budget on entering it.  A value is checked before `left` is touched, so
+    a rejected value needs no undo, and a column gives its shares back when
+    the cursor returns to it.  The loop stays lazy: the search takes only
+    the rows it needs.
 
     The DFS also prunes on the total share budget, sum(left).  Each recent
     row that holds a column's value spends one share, no share may go below
@@ -220,30 +230,39 @@ def _candidate_rows(sizes, tops, tied, recent):
     # shares the new row may still take with each recent row, oldest first
     left = list(range(len(recent) - 1, -1, -1))
     need = _share_need(sizes, tops, recent)
-    row: list[int] = []
-
-    def extend(col: int, budget: int):
-        if col == t:
-            yield tuple(row)
-            return
-        for value in range(row[col - 1] if tied[col] else 1, tops[col] + 1):
-            bumped = []
-            ok = True
-            for p, prev in enumerate(recent):
-                if prev[col] == value:
-                    left[p] -= 1
-                    bumped.append(p)
-                    if left[p] < 0:
-                        ok = False
-                        break
-            if ok and budget - len(bumped) >= need[col + 1]:
-                row.append(value)
-                yield from extend(col + 1, budget - len(bumped))
-                row.pop()
-            for p in bumped:
+    held = list(zip(*recent)) if recent else [()] * t  # held[col]: each recent row's value there
+    row = [0] * t  # the value each column holds now
+    hits = [()] * t  # the recent rows whose share row[col] took
+    budget = [sum(left)] * t  # the shares left on entering each column
+    col, value = 0, 1  # the next value to try in column col
+    while True:
+        if value > tops[col]:  # column exhausted: back to the previous one
+            if col == 0:
+                return
+            col -= 1
+            for p in hits[col]:
                 left[p] += 1
-
-    yield from extend(0, sum(left))
+            value = row[col] + 1
+            continue
+        rest = budget[col]
+        hit = ()
+        if value in held[col]:
+            hit = [p for p, v in enumerate(held[col]) if v == value]
+            rest -= len(hit)
+        if rest < need[col + 1] or 0 in map(left.__getitem__, hit):
+            value += 1
+            continue
+        row[col] = value
+        if col + 1 == t:  # a whole row: no later column reads left
+            yield tuple(row)
+            value += 1
+            continue
+        for p in hit:
+            left[p] -= 1
+        hits[col] = hit
+        col += 1
+        budget[col] = rest
+        value = row[col - 1] if tied[col] else 1
 
 
 def segment_extension_search(spec: GraphSpec, depth: int) -> SegmentSearchResult:
@@ -270,9 +289,10 @@ def segment_extension_search(spec: GraphSpec, depth: int) -> SegmentSearchResult
 
     Each level carries each column's top value and tie flag, derived from its
     parent's and its row in O(t) (_carry), so its setup depends neither on
-    column size nor on the rows placed.  Its rows are built column by column
-    under a share-budget bound (_candidate_rows) that cuts only partial rows
-    with no completion: nodes_explored and dead_depth are the unbounded DFS's.
+    column size nor on the rows placed.  Its rows are built column by column,
+    by one cursor loop per level, under a share-budget bound (_candidate_rows)
+    that cuts only partial rows with no completion: nodes_explored and
+    dead_depth are the unbounded DFS's.
     """
     require_spec(spec)
     if type(depth) is not int:  # not bool, not 2.5, not '4'

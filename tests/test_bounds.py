@@ -354,6 +354,8 @@ BUDGET_PRUNE_CASES = [
     ([(2, 5)], 1),
     ([(3, 1), (4, 9)], 29),
     ([(2, 3), (3, 3), (4, 3)], 1),
+    ([(5, 1)], 201),
+    ([(2, 1), (3, 1)], 31),
 ]
 
 
@@ -425,6 +427,45 @@ def test_segment_search_node_counts(factors, depth, nodes, extensible):
     assert result.extensible == extensible
     assert result.dead_depth == (None if extensible else depth)
     assert result.nodes_explored == nodes
+
+
+# the prove sweep 3^a x 4^b (a <= 5, b <= 11, a + b >= 3) at depth 4:
+# (a, b) -> (dead_depth, nodes_explored), dead_depth None where a run is found
+PROVE_SWEEP = {
+    (0, 3): (None, 3), (0, 4): (None, 3), (0, 5): (None, 3), (0, 6): (None, 3),
+    (0, 7): (None, 3), (0, 8): (None, 3), (0, 9): (None, 3), (0, 10): (None, 6),
+    (0, 11): (4, 17),
+    (1, 2): (None, 3), (1, 3): (None, 3), (1, 4): (None, 3), (1, 5): (None, 3),
+    (1, 6): (None, 3), (1, 7): (None, 3), (1, 8): (None, 3), (1, 9): (4, 28), (1, 10): (4, 28),
+    (1, 11): (4, 28),
+    (2, 1): (None, 3), (2, 2): (None, 3), (2, 3): (None, 3), (2, 4): (None, 3),
+    (2, 5): (None, 3), (2, 6): (None, 3), (2, 7): (4, 21), (2, 8): (4, 21), (2, 9): (4, 21),
+    (2, 10): (4, 21), (2, 11): (4, 21),
+    (3, 0): (None, 3), (3, 1): (None, 3), (3, 2): (None, 3), (3, 3): (None, 3),
+    (3, 4): (None, 3), (3, 5): (4, 10), (3, 6): (4, 10), (3, 7): (4, 10), (3, 8): (4, 10),
+    (3, 9): (4, 10), (3, 10): (4, 10), (3, 11): (4, 10),
+    (4, 0): (None, 3), (4, 1): (None, 3), (4, 2): (None, 3), (4, 3): (4, 4), (4, 4): (4, 4),
+    (4, 5): (4, 4), (4, 6): (4, 4), (4, 7): (4, 4), (4, 8): (4, 4), (4, 9): (4, 4),
+    (4, 10): (4, 4), (4, 11): (4, 4),
+    (5, 0): (3, 2), (5, 1): (3, 3), (5, 2): (3, 3), (5, 3): (3, 3), (5, 4): (3, 3),
+    (5, 5): (3, 3), (5, 6): (3, 3), (5, 7): (3, 3), (5, 8): (3, 3), (5, 9): (3, 3),
+    (5, 10): (3, 3), (5, 11): (3, 3),
+}
+
+
+def test_segment_search_prove_sweep():
+    # exact outcome and node count of every product in the sweep
+    assert set(PROVE_SWEEP) == {(a, b) for a in range(6) for b in range(12) if a + b >= 3}
+    got = {}
+    for a, b in PROVE_SWEEP:
+        spec = make_graph_spec([(s, k) for s, k in ((3, a), (4, b)) if k])
+        result = segment_extension_search(spec, 4)
+        assert result.extensible == (result.dead_depth is None), (a, b)
+        got[a, b] = (result.dead_depth, result.nodes_explored)
+    assert got == PROVE_SWEEP
+    outcomes = [dead for dead, _ in got.values()]
+    assert [outcomes.count(d) for d in (None, 4, 3)] == [29, 25, 12]
+    assert sum(nodes for _, nodes in got.values()) == 437
 
 
 def test_segment_search_matches_unreduced_oracle():
