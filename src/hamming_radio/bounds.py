@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import and_, eq
 
 from .errors import NotAtBoundaryError, ShapeError, SpecError, TooLargeError
@@ -168,18 +168,18 @@ class SegmentSearchResult:
     nodes_explored: int
 
 
-def _share_need(sizes, tops, recent) -> list[int]:
-    """need[col]: the fewest shares with `recent` that columns col.. spend,
-    whatever values from 1..tops[col] they take; the last entry is 0.
+def _share_need(sizes, tops, held) -> list[int]:
+    """need[col]: the fewest shares with the recent rows that columns col..
+    spend, whatever values from 1..tops[col] they take; the last entry is 0.
 
-    A column's fewest is the minimum, over its values, of how many recent
-    rows hold that value in it; need is its suffix sum.  A column whose top
-    is below its size, or above len(recent), offers a value no recent row
-    holds (its top, or one left over as each row holds one), so it adds 0.
+    held[col] is the recent rows' values in column col.  A column's fewest is
+    the minimum, over its values, of how many of them equal it; need is its
+    suffix sum.  A column whose top is below its size, or above len(held[col]),
+    offers a value no recent row holds (its top, or one left over), so adds 0.
     """
     fewest = [
-        min(map(held.count, range(1, size + 1))) if top == size <= len(recent) else 0
-        for size, top, held in zip(sizes, tops, zip(*recent) if recent else repeat(()))
+        min(map(column.count, range(1, size + 1))) if top == size <= len(column) else 0
+        for size, top, column in zip(sizes, tops, held)
     ]
     return [*accumulate(reversed(fewest), initial=0)][::-1]
 
@@ -229,8 +229,8 @@ def _candidate_rows(sizes, tops, tied, recent):
     t = len(sizes)
     # shares the new row may still take with each recent row, oldest first
     left = list(range(len(recent) - 1, -1, -1))
-    need = _share_need(sizes, tops, recent)
     held = list(zip(*recent)) if recent else [()] * t  # held[col]: each recent row's value there
+    need = _share_need(sizes, tops, held)
     row = [0] * t  # the value each column holds now
     hits = [()] * t  # the recent rows whose share row[col] took
     budget = [sum(left)] * t  # the shares left on entering each column

@@ -98,12 +98,6 @@ def serialize_ordering_text(doc: OrderingDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_int_list(value: object) -> bool:
-    """A JSON array of integers.  Python reads JSON true/false as bool, a
-    subclass of int, so the type is compared exactly."""
-    return isinstance(value, list) and all(type(x) is int for x in value)
-
-
 def parse_ordering_json(text: str) -> OrderingDocument:
     try:
         obj = json.loads(text)
@@ -118,15 +112,13 @@ def parse_ordering_json(text: str) -> OrderingDocument:
     raw_spec = obj["spec"]
     if isinstance(raw_spec, str):
         spec = parse_spec_string(raw_spec)
-    else:
-        if not isinstance(raw_spec, list) or not all(
-            _is_int_list(entry) and len(entry) == 2 for entry in raw_spec
-        ):
-            raise DocumentError(f"bad spec entry: {raw_spec!r}")
+    elif isinstance(raw_spec, list):  # GraphSpec refuses a non-pair or non-int entry
         try:
-            spec = GraphSpec([tuple(entry) for entry in raw_spec])
+            spec = GraphSpec(raw_spec)
         except RadioGraphError as exc:
             raise DocumentError(f"bad spec entry: {raw_spec!r}") from exc
+    else:
+        raise DocumentError(f"bad spec entry: {raw_spec!r}")
     raw_rows = obj["rows"]
     if (
         not isinstance(raw_rows, list)

@@ -9,7 +9,6 @@ differ, so the diameter equals the total number of columns.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -70,7 +69,7 @@ class GraphSpec:
         if any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise SpecError(f"factor sizes must be strictly increasing, got {sizes}")
 
-    @functools.cached_property  # validate_vertex reads it for every row
+    @property
     def diameter(self) -> int:
         return sum(f.copies for f in self.factors)
 
@@ -118,18 +117,15 @@ class GraphSpec:
         return tuple(out)
 
     def validate_vertex(self, v: Iterable[int]) -> Vertex:
+        """v as a tuple; a ShapeError names its first fault, column by column."""
         v = tuple(v)
         if len(v) != self.diameter:
             raise ShapeError(f"vertex {v} has {len(v)} coordinates, expected {self.diameter}")
-        start = 0
-        for f in self.factors:  # no column_sizes() tuple: this runs for every row
-            stop = start + f.copies
-            for coord in v[start:stop]:
-                if type(coord) is not int:  # not bool, not a float such as 1.5
-                    raise ShapeError(f"coordinate {coord!r} is not an integer in vertex {v}")
-                if not 1 <= coord <= f.size:
-                    raise ShapeError(f"coordinate {coord} outside 1..{f.size} in vertex {v}")
-            start = stop
+        for coord, size in zip(v, self.column_sizes()):
+            if type(coord) is not int:  # not bool, not a float such as 1.5
+                raise ShapeError(f"coordinate {coord!r} is not an integer in vertex {v}")
+            if not 1 <= coord <= size:
+                raise ShapeError(f"coordinate {coord} outside 1..{size} in vertex {v}")
         return v
 
     def vertex_index(self, v: Iterable[int]) -> int:

@@ -7,6 +7,7 @@ code paths under test, so agreement is meaningful evidence of correctness.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -229,6 +230,29 @@ def oracle_segment_search(sizes, depth):
     if extend():
         return True, tuple(rows), None, nodes
     return False, None, deepest, nodes
+
+
+def oracle_window_refutation(sizes, max_window):
+    """The strict window-sum bound (after Liu & Zhu 2005): the least window
+    length L <= max_window whose columns must hold more agreeing pairs than
+    its rows may share, or None.
+
+    L rows in a column of m values agree in at least
+    p(L, m) = r*C(q+1, 2) + (m-r)*C(q, 2) pairs, q, r = divmod(L, m): the
+    values spread evenly.  Rows g apart share at most g - 1 coordinates for
+    g < t, and distinct rows at most t - 1, so the L - g pairs at gap g share
+    at most (L - g)*min(g - 1, t - 1), A(L, t) in all.  No ordering has L
+    consecutive rows once sum_j p(L, m_j) > A(L, t).
+    """
+    t = len(sizes)
+    for window in range(1, max_window + 1):
+        forced = 0
+        for m in sizes:
+            q, r = divmod(window, m)
+            forced += r * math.comb(q + 1, 2) + (m - r) * math.comb(q, 2)
+        if forced > sum((window - g) * min(g - 1, t - 1) for g in range(1, window)):
+            return window
+    return None
 
 
 def oracle_column_state(sizes, prev_rows):

@@ -127,11 +127,22 @@ def test_json_row_faults_keep_their_message(last):
     assert str(err.value) == "rows must be lists of integers"
 
 
-def test_json_spec_the_graph_model_refuses_is_a_bad_spec_entry():
-    # a well-formed pair that make_graph_spec refuses: K_3 with no copies
+@pytest.mark.parametrize(
+    "raw",
+    [
+        '[[3,"x"]]', "[[3.7,1.2]]", "[[3,true]]", '["31"]', "[[3]]", "[[3,4,5]]",
+        "[3]", "[null]", '[{"a":1,"b":2}]', "[]", "[[3,0]]", "[[4,1],[3,1]]",
+        "[[1,1]]", '[[3,1],"x"]', '[["3","1"]]', "[[3,[1]]]",
+        "5", "null", '{"3":4}',
+    ],
+)
+def test_json_spec_the_graph_model_refuses_is_a_bad_spec_entry(raw):
+    # a list spec goes to make_graph_spec whole: whatever it refuses (a
+    # non-pair, a non-int, K_3 with no copies), and a spec neither a list nor
+    # a string, is one message
     with pytest.raises(DocumentError) as err:
-        parse_ordering_json('{"spec": [[3, 0]], "rows": []}')
-    assert str(err.value) == "bad spec entry: [[3, 0]]"
+        parse_ordering_json('{"spec": %s, "rows": []}' % raw)
+    assert str(err.value) == f"bad spec entry: {json.loads(raw)!r}"
 
 
 def test_document_sniffing(golden_k32):

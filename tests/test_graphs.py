@@ -98,6 +98,11 @@ def test_vertex_validation():
         ((3, 0, 4), "coordinate 3 outside 1..2 in vertex (3, 0, 4)"),  # the first bad column
         ((1, 2), "vertex (1, 2) has 2 coordinates, expected 3"),
         ((1, 1.5, 1), "coordinate 1.5 is not an integer in vertex (1, 1.5, 1)"),
+        ((0, 1, 1), "coordinate 0 outside 1..2 in vertex (0, 1, 1)"),
+        ((1, 1, 1, 1), "vertex (1, 1, 1, 1) has 4 coordinates, expected 3"),
+        ((1, True, 1), "coordinate True is not an integer in vertex (1, True, 1)"),
+        ((1, 1, "1"), "coordinate '1' is not an integer in vertex (1, 1, '1')"),
+        ((1, 4, True), "coordinate 4 outside 1..3 in vertex (1, 4, True)"),  # range before type
     ],
 )
 def test_vertex_validation_messages_are_pinned(vertex, message):
