@@ -9,7 +9,8 @@ pattern, and short exhaustive searches over canonical row segments can finish
 the argument for specific graphs.  That search carries each column's top value
 and tie flag down the rows, so no level's setup grows with column size or with
 the number of rows placed, and builds each level's rows in one generator that
-walks the columns with a cursor.
+walks the columns with a cursor.  A level's setup is done once per tie block, a
+run of interchangeable columns, not once per column.
 """
 
 from __future__ import annotations
@@ -168,20 +169,42 @@ class SegmentSearchResult:
     nodes_explored: int
 
 
-def _share_need(sizes, tops, held) -> list[int]:
-    """need[col]: the fewest shares with the recent rows that columns col..
-    spend, whatever values from 1..tops[col] they take; the last entry is 0.
+def _tie_block(size, top, column):
+    """One tie block's fewest shares and holder map.
 
-    held[col] is the recent rows' values in column col.  A column's fewest is
-    the minimum, over its values, of how many of them equal it; need is its
-    suffix sum.  A column whose top is below its size, or above len(held[col]),
-    offers a value no recent row holds (its top, or one left over), so adds 0.
+    column is the recent rows' values in each of the block's columns (equal
+    across it).  The holder map takes each value to the recent rows holding
+    it, oldest first.  The fewest is the minimum, over values 1..top, of how
+    many recent rows hold it: 0 unless the top is the size and every value is
+    held, for a value no recent row holds (the top, or one left over) costs
+    nothing.
     """
-    fewest = [
-        min(map(column.count, range(1, size + 1))) if top == size <= len(column) else 0
-        for size, top, column in zip(sizes, tops, held)
-    ]
-    return [*accumulate(reversed(fewest), initial=0)][::-1]
+    holders = {}
+    for p, v in enumerate(column):
+        holders.setdefault(v, []).append(p)
+    return (min(map(len, holders.values())) if top == size == len(holders) else 0), holders
+
+
+def _share_need(sizes, tops, tied, held):
+    """(need, holders): need[col] is the fewest shares with the recent rows
+    that columns col.. spend, whatever values from 1..tops[col] they take, the
+    last entry 0; holders[col] maps each value to the recent rows holding it
+    in column col.
+
+    held[col] is the recent rows' values in column col.  A maximal run of
+    columns joined by tied is one tie block: the tie rule joins only columns of
+    equal size and equal values in every row placed, so the run shares its
+    size, top and held column, and _tie_block runs once for it, its result
+    given to every column of the run.  need is the suffix sum of the columns'
+    fewest.
+    """
+    fewest, holders = [], []
+    for size, top, tie, column in zip(sizes, tops, tied, held):
+        if not tie:  # a block starts at each untied column, column 0 first
+            block_fewest, block_holders = _tie_block(size, top, column)
+        fewest.append(block_fewest)
+        holders.append(block_holders)
+    return [*accumulate(reversed(fewest), initial=0)][::-1], holders
 
 
 def _empty_state(sizes):
@@ -213,7 +236,9 @@ def _candidate_rows(sizes, tops, tied, recent):
     that shares too much before it is whole, so verify's kernel cannot serve.
     It is one loop with a cursor over the columns: per column it keeps the
     value held now, the recent rows whose share that value took and the
-    budget on entering it.  A value is checked before `left` is touched, so
+    budget on entering it.  Those rows are looked up in the column's holder
+    map, built once per tie block (_share_need), so no (column, value) pair
+    scans the recent rows.  A value is checked before `left` is touched, so
     a rejected value needs no undo, and a column gives its shares back when
     the cursor returns to it.  The loop stays lazy: the search takes only
     the rows it needs.
@@ -221,16 +246,17 @@ def _candidate_rows(sizes, tops, tied, recent):
     The DFS also prunes on the total share budget, sum(left).  Each recent
     row that holds a column's value spends one share, no share may go below
     zero, and columns c.. spend at least need[c] shares whatever values they
-    take (_share_need).  So a partial row through column c-1 whose remaining
-    budget is below need[c] has no completion, and its subtree is cut.  The
-    tie floor only removes values, which cannot lower a column's minimum, so
-    need stays a lower bound.  The rows and their order are the plain DFS's.
+    take (_share_need, one floor per tie block).  So a partial row through
+    column c-1 whose remaining budget is below need[c] has no completion, and
+    its subtree is cut.  The tie floor only removes values, which cannot lower
+    a column's minimum, so need stays a lower bound.  The rows and their order
+    are the plain DFS's.
     """
     t = len(sizes)
     # shares the new row may still take with each recent row, oldest first
     left = list(range(len(recent) - 1, -1, -1))
     held = list(zip(*recent)) if recent else [()] * t  # held[col]: each recent row's value there
-    need = _share_need(sizes, tops, held)
+    need, holders = _share_need(sizes, tops, tied, held)
     row = [0] * t  # the value each column holds now
     hits = [()] * t  # the recent rows whose share row[col] took
     budget = [sum(left)] * t  # the shares left on entering each column
@@ -244,11 +270,8 @@ def _candidate_rows(sizes, tops, tied, recent):
                 left[p] += 1
             value = row[col] + 1
             continue
-        rest = budget[col]
-        hit = ()
-        if value in held[col]:
-            hit = [p for p, v in enumerate(held[col]) if v == value]
-            rest -= len(hit)
+        hit = holders[col].get(value, ())
+        rest = budget[col] - len(hit)
         if rest < need[col + 1] or 0 in map(left.__getitem__, hit):
             value += 1
             continue
@@ -289,8 +312,9 @@ def segment_extension_search(spec: GraphSpec, depth: int) -> SegmentSearchResult
 
     Each level carries each column's top value and tie flag, derived from its
     parent's and its row in O(t) (_carry), so its setup depends neither on
-    column size nor on the rows placed.  Its rows are built column by column,
-    by one cursor loop per level, under a share-budget bound (_candidate_rows)
+    column size nor on the rows placed, and it builds its share floor and
+    holder maps once per tie block.  Its rows are built column by column, by
+    one cursor loop per level, under a share-budget bound (_candidate_rows)
     that cuts only partial rows with no completion: nodes_explored and
     dead_depth are the unbounded DFS's.
     """

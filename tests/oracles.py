@@ -276,6 +276,21 @@ def oracle_column_state(sizes, prev_rows):
     return tops, tied
 
 
+def oracle_share_need(sizes, tops, held):
+    """bounds._share_need's need, column by column, with no tie blocks.
+
+    held[col] is the recent rows' values in column col.  A column's fewest is
+    the minimum, over its values, of how many of them equal it; need is its
+    suffix sum, ending in 0.  A column whose top is below its size, or above
+    len(held[col]), offers a value no recent row holds, so adds 0.
+    """
+    fewest = [
+        min(map(column.count, range(1, size + 1))) if top == size <= len(column) else 0
+        for size, top, column in zip(sizes, tops, held)
+    ]
+    return [*itertools.accumulate(reversed(fewest), initial=0)][::-1]
+
+
 def oracle_candidate_rows(sizes, prev_rows):
     """bounds._candidate_rows from scratch over prev_rows, without the
     share-budget prune.

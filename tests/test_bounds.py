@@ -26,6 +26,7 @@ from .oracles import (
     oracle_column_state,
     oracle_distinct_columns,
     oracle_segment_search,
+    oracle_share_need,
     oracle_shared,
     oracle_window_refutation,
     random_permutation_rows,
@@ -358,6 +359,10 @@ BUDGET_PRUNE_CASES = [
     ([(2, 3), (3, 3), (4, 3)], 1),
     ([(5, 1)], 201),
     ([(2, 1), (3, 1)], 31),
+    # long tie blocks that later rows split: a column's holder map is its block's
+    ([(4, 5)], 1_500),
+    ([(3, 2), (5, 4)], 1_500),
+    ([(2, 1), (4, 6)], 9),
 ]
 
 
@@ -402,12 +407,12 @@ def test_share_need_is_the_brute_force_minimum():
                 used = sorted({row[col] for row in prefix})
                 allowed.append(used + [v for v in range(1, size + 1) if v not in used][:1])
             recent = prefix[-(t - 1) :]
-            tops, _ = oracle_column_state(sizes, prefix)
+            tops, tied = oracle_column_state(sizes, prefix)
 
             def spent(values, start):
                 return sum(prev[col] == v for prev in recent for col, v in enumerate(values, start))
 
-            need = _share_need(sizes, tops, list(zip(*recent)))
+            need, _ = _share_need(sizes, tops, tied, list(zip(*recent)))
             assert len(need) == t + 1 and need[t] == 0
             for col in range(t):
                 assert need[col] == min(spent(c, col) for c in itertools.product(*allowed[col:]))
@@ -417,6 +422,54 @@ def test_share_need_is_the_brute_force_minimum():
             checked += 1
             positive += need[0] > 0
     assert (checked, positive) == (458, 215)
+
+
+@pytest.mark.parametrize("factors,count", BUDGET_PRUNE_CASES)
+def test_share_need_by_tie_block_matches_per_column(factors, count):
+    # one floor and holder map per tie block gives each column what its own
+    # would be, at every prefix of the search's tree and at the empty one
+    spec = make_graph_spec(factors)
+    sizes = spec.column_sizes()
+    t = len(sizes)
+    prefixes = _canonical_prefixes(spec, 6, 1_500)
+    assert len(prefixes) == count
+    for prefix in [[], *prefixes]:
+        tops, tied = oracle_column_state(sizes, prefix)
+        recent = _recent(sizes, prefix)
+        held = list(zip(*recent)) if recent else [()] * t
+        need, holders = _share_need(sizes, tops, tied, held)
+        assert need == oracle_share_need(sizes, tops, held), prefix
+        for column, got in zip(held, holders):
+            assert got == {v: [p for p, w in enumerate(column) if w == v] for v in column}, prefix
+
+
+@pytest.mark.parametrize(
+    "factors,depth,levels,blocks,columns",
+    [([(4, 11)], 4, 18, 44, 198), ([(3, 4), (4, 6)], 5, 5, 14, 50)],
+)
+def test_share_floor_is_built_once_per_tie_block(
+    monkeypatch, factors, depth, levels, blocks, columns
+):
+    # _tie_block runs once per tie block of every level built, not once per column
+    found = []  # the tie blocks of each level built
+    runs = 0
+    tie_block, share_need = bounds._tie_block, bounds._share_need
+
+    def counted_block(*args):
+        nonlocal runs
+        runs += 1
+        return tie_block(*args)
+
+    def counted_need(sizes, tops, tied, held):
+        found.append(tied.count(False))
+        return share_need(sizes, tops, tied, held)
+
+    monkeypatch.setattr(bounds, "_tie_block", counted_block)
+    monkeypatch.setattr(bounds, "_share_need", counted_need)
+    spec = make_graph_spec(factors)
+    segment_extension_search(spec, depth)
+    assert (len(found), runs, len(found) * spec.diameter) == (levels, blocks, columns)
+    assert runs == sum(found)
 
 
 @pytest.mark.parametrize(
